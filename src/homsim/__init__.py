@@ -1,7 +1,7 @@
 """Two-photon interference of pulsed single-photon emitters: analytic
 correlation functions, Monte Carlo coincidence simulation, and fitting."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analysis import PeakAreaReport, WindowConfigurationError, g2_indist_double_pulse, peak_areas
 from .fitting import (
@@ -47,11 +47,10 @@ from .montecarlo import (
     analytic_visibility,
     hbt_analytic_g2,
     multi_photon_prob_for_g2,
-    sample_pair_event,
     sample_pair_events,
     simulate_hbt_purity,
     simulate_histogram,
 )
-from .specfun import QuadratureError, QuadratureSpec, erfc, erfcx, integrate_1d
+from .specfun import QuadratureError, QuadratureSpec, erfcx, integrate_1d
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -46,9 +46,12 @@ class PeakAreaReport:
 
 
 def _window_sum(hist, center, halfwidth, baseline_per_bin=0.0):
-    centers = hist.bin_centers()
-    sel = np.abs(centers - center) <= halfwidth
-    return float(hist.counts[sel].sum()) - baseline_per_bin * int(sel.sum())
+    """Counts within exactly center +/- halfwidth, taking the covered share
+    of each edge bin (counts spread evenly over a bin)."""
+    e = hist.bin_edges()
+    share = np.clip(np.minimum(e[1:], center + halfwidth) - np.maximum(e[:-1], center - halfwidth),
+                    0.0, None) / np.diff(e)
+    return float(share @ hist.counts) - baseline_per_bin * float(share.sum())
 
 
 def peak_areas(hist, window_halfwidth: float, n_side_peaks: int = 6, *,

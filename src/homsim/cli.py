@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -257,13 +258,16 @@ def _load_xy_csv(path):
                 for j, cell in enumerate(rec, start=1):
                     cell = cell.strip()
                     try:
-                        vals.append(float(cell))
+                        v = float(cell)
                     except ValueError:
                         if i == 1:  # header row
                             vals = None
                             break
                         raise ConfigError(
                             f"{path}: row {i}, column {j}: cannot parse {cell!r} as a number") from None
+                    if not math.isfinite(v):
+                        raise ConfigError(f"{path}: row {i}, column {j}: {cell!r} is not a finite number")
+                    vals.append(v)
                 if vals is None:
                     continue
                 if len(vals) not in (2, 3):

@@ -9,10 +9,12 @@ are converted through hbar = 0.6582119569 ueV*ns.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .model import HBAR_UEV_NS, PairSpec
 from .montecarlo import (
+    CHUNK_PULSES,
     MODE_CONSECUTIVE,
     MODE_CROSS_POLARIZED,
     MODE_DOUBLE_PULSE,
@@ -106,6 +108,8 @@ def _number(d, path, default=None, required=False, lo=None, hi=None, integer=Fal
         return None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
     if integer and int(v) != v:
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
     if lo is not None and v < lo:
@@ -157,7 +161,9 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
             rep_period=rep_period,
             intra_delay=_number(raw, "intra_delay_ns", default=min(2.0, 0.5 * rep_period)),
             emission_jitter=_number(raw, "emission_jitter_ns", default=0.0),
-            n_pulses=_number(raw, "n_pulses", default=100_000, integer=True, lo=1),
+            # blocks are addressed by a 32-bit Philox counter word
+            n_pulses=_number(raw, "n_pulses", default=100_000, integer=True, lo=1,
+                             hi=CHUNK_PULSES * 2 ** 32),
             detector=detector,
         )
         rng = RngSpec(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import QuadratureSpec, erfc, erfcx, integrate_1d
+from .specfun import QuadratureSpec, erfcx, integrate_1d
 
 __all__ = [
     "HBAR_UEV_NS",
@@ -70,8 +70,6 @@ class EmitterParams:
 
     tau_r : radiative decay time (ns)
     tau_deph : pure dephasing time (ns), or None when absent
-    sigma : Gaussian jitter scale of the center frequency (rad/ns)
-    omega0 : center frequency (rad/ns)
     fss : fine-structure splitting (rad/ns), 0 when absent
     fss_weights : relative amplitudes of the two fine-structure components
     fss_tau_c : per-component coherence times (ns) for the two fine-structure
@@ -80,8 +78,6 @@ class EmitterParams:
 
     tau_r: float
     tau_deph: float | None = None
-    sigma: float = 0.0
-    omega0: float = 0.0
     fss: float = 0.0
     fss_weights: tuple[float, float] = (1.0, 1.0)
     fss_tau_c: tuple[float, float] | None = None
@@ -91,8 +87,6 @@ class EmitterParams:
             raise ValueError(f"tau_r must be > 0, got {self.tau_r}")
         if self.tau_deph is not None and not self.tau_deph > 0:
             raise ValueError(f"tau_deph must be > 0 when present, got {self.tau_deph}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.fss < 0:
             raise ValueError(f"fss must be >= 0, got {self.fss}")
         a1, a2 = self.fss_weights
@@ -108,30 +102,25 @@ class PhotonWavePacket:
 
     The amplitude rises instantaneously at `time_offset` and decays with the
     radiative lifetime; the carrier oscillates at omega + frequency_offset.
-    `sign` tags which member of an interfering pair this is (+1 first,
-    -1 second); the pair() constructor assigns the offsets symmetrically.
     """
 
     tau_r: float
     omega: float = 0.0
     frequency_offset: float = 0.0
     time_offset: float = 0.0
-    sign: int = +1
 
     def __post_init__(self):
         if not self.tau_r > 0:
             raise ValueError(f"tau_r must be > 0, got {self.tau_r}")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     @classmethod
     def pair(cls, tau_r, delta, delta_tau, omega=0.0):
         """The two members of an interfering pair: the first carries frequency
         offset -delta/2 and onset +delta_tau/2, the second the opposites."""
         first = cls(tau_r=tau_r, omega=omega, frequency_offset=-delta / 2,
-                    time_offset=+delta_tau / 2, sign=+1)
+                    time_offset=+delta_tau / 2)
         second = cls(tau_r=tau_r, omega=omega, frequency_offset=+delta / 2,
-                     time_offset=-delta_tau / 2, sign=-1)
+                     time_offset=-delta_tau / 2)
         return first, second
 
 
@@ -247,23 +236,12 @@ def wavepacket_amplitude(packet: PhotonWavePacket, t):
 
 def _g2_tl_raw(t0, tau, tau_r, delta_tau, delta):
     """|xi1(t0) xi2(t0+tau) - xi2(t0) xi1(t0+tau)|^2 / 4 with the two
-    unit-norm one-sided exponential packets; broadcasts over all arguments."""
-    p1, p2 = PhotonWavePacket.pair(tau_r, 0.0, delta_tau)
-    t0 = np.asarray(t0, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    # The common carrier omega cancels; only the frequency difference enters.
-    # Build amplitudes with explicit phase factors so delta can broadcast.
-    def amp(pkt, t, f_off):
-        rel = t - pkt.time_offset
-        env = np.where(rel > 0, np.exp(-rel / (2.0 * tau_r)), 0.0) / math.sqrt(tau_r)
-        return env * np.exp(-1j * f_off * t)
-
-    x1_t0 = amp(p1, t0, -delta / 2)
-    x2_t1 = amp(p2, t0 + tau, +delta / 2)
-    x2_t0 = amp(p2, t0, +delta / 2)
-    x1_t1 = amp(p1, t0 + tau, -delta / 2)
-    return np.abs(x1_t0 * x2_t1 - x2_t0 * x1_t1) ** 2 / 4.0
+    unit-norm one-sided exponential packets; broadcasts over all arguments.
+    The common carrier omega cancels; only the frequency difference enters."""
+    p1, p2 = PhotonWavePacket.pair(tau_r, np.asarray(delta, dtype=float), delta_tau)
+    t1 = np.asarray(t0, dtype=float) + np.asarray(tau, dtype=float)
+    xi = wavepacket_amplitude
+    return np.abs(xi(p1, t0) * xi(p2, t1) - xi(p2, t0) * xi(p1, t1)) ** 2 / 4.0
 
 
 def g2_tl(t0, tau, pair: PairSpec, delta: float):
@@ -535,5 +513,5 @@ def time_jitter_overlap_factor(tau_r: float, delta_tau: float, jitter_sigma: flo
     else:
         # exp(log_pref + zm^2) * erfc(zm); the combined exponent reduces to
         # s^2/(2 tau_r^2) - mu/tau_r, which is < 0 whenever zm < 0
-        term_m = math.exp(s ** 2 / (2.0 * tau_r ** 2) - mu / tau_r) * erfc(zm)
+        term_m = math.exp(s ** 2 / (2.0 * tau_r ** 2) - mu / tau_r) * math.erfc(zm)
     return 0.5 * (term_p + term_m)

@@ -5,17 +5,27 @@ record: a pulse train drives one or two emitters, photon pairs meet (or miss)
 on the final beam splitter, detections land on two counters, and every
 counter-pair delay within the histogram window is tallied.
 
+Every pairing mode and the HBT purity measurement run one pipeline per
+block of CHUNK_PULSES pulses. A routing function per mode (HBT is one more)
+draws the emission randomness, in an order that fixes the mode's stream, and
+returns the meeting pairs (midpoint, arrival offset, frequency difference)
+and the groups of lone photon onsets; _mode_detections samples both;
+_apply_detector and _correlate follow; _run_blocks sums the blocks into one
+CorrelationHistogram.
+
 Reproducibility contract
 ------------------------
 All randomness comes from counter-based Philox4x64-10 streams
-(numpy.random.Philox). The pulse train is processed in fixed blocks of
-CHUNK_PULSES; block c of a run keyed by RngSpec(seed, stream_id) uses
-Philox key = [seed, stream_id * 2^32 + c]. Identical (seed, stream_id)
+(numpy.random.Philox). Block c of a run keyed by RngSpec(seed, stream_id)
+uses Philox key = [seed, stream_id * 2^32 + c]. Identical (seed, stream_id)
 therefore give bitwise-identical histograms, independent of how blocks are
 distributed over workers; integer counts are summed, which is
 order-independent. Coincidence pairs are tallied within blocks; pairs that
 would straddle a block boundary are not counted, a deterministic O(window /
 (CHUNK_PULSES * rep_period)) ~ 1e-4 relative effect on side-peak areas.
+Version 0.2.0 draws the four pairing modes in the order of 0.1.0, so their
+histograms are unchanged for a given seed; HBT histograms and
+cross-polarized sample_pair_events batches are not.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,9 +51,7 @@ __all__ = [
     "RngSpec",
     "InterferenceScenario",
     "CorrelationHistogram",
-    "CoincidenceEvent",
     "PairEventBatch",
-    "sample_pair_event",
     "sample_pair_events",
     "simulate_histogram",
     "simulate_hbt_purity",
@@ -154,18 +163,6 @@ class CorrelationHistogram:
 
 
 @dataclass
-class CoincidenceEvent:
-    """One sampled pair interaction at the beam splitter."""
-
-    delta: float
-    delta_tau: float
-    opposite_port: bool
-    tau: float
-    times: tuple[float, float]
-    ports: tuple[int, int]
-
-
-@dataclass
 class PairEventBatch:
     """Vectorized pair interactions (times relative to the pair midpoint)."""
 
@@ -180,13 +177,6 @@ class PairEventBatch:
 
     def __len__(self):
         return self.delta.size
-
-    def event(self, i: int) -> CoincidenceEvent:
-        return CoincidenceEvent(
-            delta=float(self.delta[i]), delta_tau=float(self.delta_tau[i]),
-            opposite_port=bool(self.opposite_port[i]), tau=float(self.tau[i]),
-            times=(float(self.t_a[i]), float(self.t_b[i])),
-            ports=(int(self.port_a[i]), int(self.port_b[i])))
 
 
 def _chunk_rng(rng: RngSpec, chunk_index: int) -> np.random.Generator:
@@ -318,6 +308,95 @@ def _sample_independent(onsets, tau_r, g):
     return times, ports
 
 
+def _jitter(g, sigma, n):
+    """Per-photon emission-time jitter."""
+    return g.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
+
+
+def _detuning(g, pair, n):
+    """Pair frequency differences drawn from the jitter ensemble."""
+    if pair.sigma_g > 0:
+        return g.normal(pair.delta0, math.sqrt(2.0) * pair.sigma_g, n)
+    return np.full(n, pair.delta0)
+
+
+def _route_remote(scenario, g, pulse_t):
+    """Two emitters, one photon each per pulse: every pulse is a meeting."""
+    n = pulse_t.size
+    j1 = _jitter(g, scenario.emission_jitter, n)
+    j2 = _jitter(g, scenario.emission_jitter, n)
+    delta = _detuning(g, scenario.pair, n)
+    return pulse_t + (j1 + j2) / 2.0, scenario.pair.delta_tau + j1 - j2, delta, []
+
+
+def _route_pulse_pair(scenario, g, pulse_t):
+    """Two photons per pulse, intra_delay apart, through an unbalanced
+    interferometer: the first on the long arm meets the second on the short
+    one, unless their polarizations are crossed."""
+    n = pulse_t.size
+    d = scenario.intra_delay
+    off = scenario.pair.delta_tau
+    jA = _jitter(g, scenario.emission_jitter, n)
+    jB = _jitter(g, scenario.emission_jitter, n)
+    rA = g.random(n) < 0.5  # True: long interferometer arm (+d + off)
+    rB = g.random(n) < 0.5
+    delta = _detuning(g, scenario.pair, n)
+    meet = rA & ~rB if scenario.mode == MODE_DOUBLE_PULSE else np.zeros(n, bool)
+    solo = ~meet
+    mid = pulse_t[meet] + d + (jA[meet] + jB[meet] + off) / 2.0
+    onsA = pulse_t[solo] + jA[solo] + np.where(rA[solo], d + off, 0.0)
+    onsB = pulse_t[solo] + d + jB[solo] + np.where(rB[solo], d + off, 0.0)
+    return mid, off + jA[meet] - jB[meet], delta[meet], [onsA, onsB]
+
+
+def _route_consecutive(scenario, g, pulse_t):
+    """One photon per pulse: photon k on the long arm meets photon k+1 on
+    the short one."""
+    n = pulse_t.size
+    T = scenario.rep_period
+    off = scenario.pair.delta_tau
+    j = _jitter(g, scenario.emission_jitter, n)
+    routes = g.random(n) < 0.5  # True: long arm (+rep_period + off)
+    delta = _detuning(g, scenario.pair, n)
+    meet = np.zeros(n, dtype=bool)
+    meet[:-1] = routes[:-1] & ~routes[1:]
+    solo = ~meet
+    solo[1:] &= ~meet[:-1]
+    k = np.nonzero(meet)[0]
+    mid = pulse_t[k] + T + (j[k] + j[k + 1] + off) / 2.0
+    ons = pulse_t[solo] + j[solo] + np.where(routes[solo], T + off, 0.0)
+    return mid, off + j[k] - j[k + 1], delta[k], [ons]
+
+
+def _route_hbt(multi_photon_prob, scenario, g, pulse_t):
+    """Hanbury Brown-Twiss: one photon per pulse, plus a second with
+    probability multi_photon_prob; no pairs meet."""
+    n = pulse_t.size
+    two = g.random(n) < multi_photon_prob
+    first = pulse_t + _jitter(g, scenario.emission_jitter, n)
+    second = pulse_t[two] + _jitter(g, scenario.emission_jitter, int(two.sum()))
+    none = np.empty(0)
+    return none, none, none, [first, second]
+
+
+_ROUTES = {MODE_REMOTE: _route_remote, MODE_CONSECUTIVE: _route_consecutive,
+           MODE_DOUBLE_PULSE: _route_pulse_pair, MODE_CROSS_POLARIZED: _route_pulse_pair}
+
+
+def _mode_detections(route, scenario, g, pulse_t):
+    """All detection (time, port) pairs the pulses at times pulse_t produce,
+    before detector effects: meeting pairs first, then each solo group."""
+    tr = scenario.pair.tau_r
+    mid, dtau, delta, solo = route(scenario, g, pulse_t)
+    groups = []
+    if mid.size:
+        _, ta, tb, pa, pb = _sample_meeting_pairs(tr, dtau, delta, g)
+        groups += [(mid + ta, pa), (mid + tb, pb)]
+    groups += [_sample_independent(ons, tr, g) for ons in solo]
+    times, ports = zip(*groups)
+    return np.concatenate(times), np.concatenate(ports)
+
+
 def sample_pair_events(scenario: InterferenceScenario, n: int,
                        rng: RngSpec | np.random.Generator) -> PairEventBatch:
     """Draw n independent beam-splitter pair interactions for the scenario's
@@ -331,118 +410,16 @@ def sample_pair_events(scenario: InterferenceScenario, n: int,
     run would start from); pass a Generator to control the stream yourself.
     """
     g = rng if isinstance(rng, np.random.Generator) else _chunk_rng(rng, 0)
-    pair = scenario.pair
-    tr = pair.tau_r
-    jit = scenario.emission_jitter
-    j1 = g.normal(0.0, jit, n) if jit > 0 else np.zeros(n)
-    j2 = g.normal(0.0, jit, n) if jit > 0 else np.zeros(n)
-    dtau = pair.delta_tau + j1 - j2
-    if pair.sigma_g > 0:
-        delta = g.normal(pair.delta0, math.sqrt(2.0) * pair.sigma_g, n)
-    else:
-        delta = np.full(n, pair.delta0)
-
+    tr = scenario.pair.tau_r
+    _, dtau, delta, _ = _route_remote(scenario, g, np.zeros(n))
     if scenario.mode == MODE_CROSS_POLARIZED:
-        e1 = g.exponential(tr, n)
-        e2 = g.exponential(tr, n)
-        t1 = dtau / 2.0 + e1
-        t2 = -dtau / 2.0 + e2
-        p1 = (g.random(n) < 0.5).astype(np.int8)
-        p2 = (g.random(n) < 0.5).astype(np.int8)
-        return PairEventBatch(delta=delta, delta_tau=dtau, opposite_port=p1 != p2,
-                              tau=t2 - t1, t_a=t1, t_b=t2, port_a=p1, port_b=p2)
-
-    opposite, ta, tb, pa, pb = _sample_meeting_pairs(tr, dtau, delta, g)
+        t_a, port_a = _sample_independent(dtau / 2.0, tr, g)
+        t_b, port_b = _sample_independent(-dtau / 2.0, tr, g)
+        opposite = port_a != port_b
+    else:
+        opposite, t_a, t_b, port_a, port_b = _sample_meeting_pairs(tr, dtau, delta, g)
     return PairEventBatch(delta=delta, delta_tau=dtau, opposite_port=opposite,
-                          tau=tb - ta, t_a=ta, t_b=tb, port_a=pa, port_b=pb)
-
-
-def sample_pair_event(scenario: InterferenceScenario,
-                      rng: RngSpec | np.random.Generator) -> CoincidenceEvent:
-    """Single-event form of sample_pair_events."""
-    return sample_pair_events(scenario, 1, rng).event(0)
-
-
-def _mode_detections(scenario, g, pulse_lo, n_p):
-    """All detection (time, port) pairs a block of n_p pulses produces,
-    before detector effects."""
-    pair = scenario.pair
-    tr = pair.tau_r
-    T = scenario.rep_period
-    jit = scenario.emission_jitter
-    base_pulse = pulse_lo * T
-    times_list = []
-    ports_list = []
-
-    if scenario.mode == MODE_REMOTE:
-        j1 = g.normal(0.0, jit, n_p) if jit > 0 else np.zeros(n_p)
-        j2 = g.normal(0.0, jit, n_p) if jit > 0 else np.zeros(n_p)
-        delta = (g.normal(pair.delta0, math.sqrt(2.0) * pair.sigma_g, n_p)
-                 if pair.sigma_g > 0 else np.full(n_p, pair.delta0))
-        dtau = pair.delta_tau + j1 - j2
-        mid = base_pulse + np.arange(n_p) * T + (j1 + j2) / 2.0
-        _, ta, tb, pa, pb = _sample_meeting_pairs(tr, dtau, delta, g)
-        times_list += [mid + ta, mid + tb]
-        ports_list += [pa, pb]
-
-    elif scenario.mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED):
-        d = scenario.intra_delay
-        off = pair.delta_tau
-        jA = g.normal(0.0, jit, n_p) if jit > 0 else np.zeros(n_p)
-        jB = g.normal(0.0, jit, n_p) if jit > 0 else np.zeros(n_p)
-        rA = g.random(n_p) < 0.5  # True: long interferometer arm (+d + off)
-        rB = g.random(n_p) < 0.5
-        delta = (g.normal(pair.delta0, math.sqrt(2.0) * pair.sigma_g, n_p)
-                 if pair.sigma_g > 0 else np.full(n_p, pair.delta0))
-        pulse_t = base_pulse + np.arange(n_p) * T
-        interfere = (rA & ~rB) if scenario.mode == MODE_DOUBLE_PULSE else np.zeros(n_p, bool)
-
-        idx = np.nonzero(interfere)[0]
-        if idx.size:
-            dtau = off + jA[idx] - jB[idx]
-            mid = pulse_t[idx] + d + (jA[idx] + jB[idx] + off) / 2.0
-            _, ta, tb, pa, pb = _sample_meeting_pairs(tr, dtau, delta[idx], g)
-            times_list += [mid + ta, mid + tb]
-            ports_list += [pa, pb]
-        solo = ~interfere
-        onsA = pulse_t[solo] + jA[solo] + np.where(rA[solo], d + off, 0.0)
-        onsB = pulse_t[solo] + d + jB[solo] + np.where(rB[solo], d + off, 0.0)
-        for ons in (onsA, onsB):
-            t, p = _sample_independent(ons, tr, g)
-            times_list.append(t)
-            ports_list.append(p)
-
-    elif scenario.mode == MODE_CONSECUTIVE:
-        off = pair.delta_tau
-        j = g.normal(0.0, jit, n_p) if jit > 0 else np.zeros(n_p)
-        routes = g.random(n_p) < 0.5  # True: long arm (+rep_period + off)
-        delta = (g.normal(pair.delta0, math.sqrt(2.0) * pair.sigma_g, n_p)
-                 if pair.sigma_g > 0 else np.full(n_p, pair.delta0))
-        pulse_t = base_pulse + np.arange(n_p) * T
-        meet = np.zeros(n_p, dtype=bool)
-        if n_p > 1:
-            meet[:-1] = routes[:-1] & ~routes[1:]  # photon k long meets k+1 short
-        idx = np.nonzero(meet)[0]
-        in_meeting = meet.copy()
-        if n_p > 1:
-            in_meeting[1:] |= meet[:-1]
-        if idx.size:
-            dtau = off + j[idx] - j[idx + 1]
-            mid = pulse_t[idx] + T + (j[idx] + j[idx + 1] + off) / 2.0
-            _, ta, tb, pa, pb = _sample_meeting_pairs(tr, dtau, delta[idx], g)
-            times_list += [mid + ta, mid + tb]
-            ports_list += [pa, pb]
-        solo = ~in_meeting
-        ons = pulse_t[solo] + j[solo] + np.where(routes[solo], T + off, 0.0)
-        t, p = _sample_independent(ons, tr, g)
-        times_list.append(t)
-        ports_list.append(p)
-    else:  # pragma: no cover - guarded by InterferenceScenario
-        raise ValueError(f"unknown mode {scenario.mode!r}")
-
-    times = np.concatenate(times_list) if times_list else np.empty(0)
-    ports = np.concatenate(ports_list) if ports_list else np.empty(0, dtype=np.int8)
-    return times, ports
+                          tau=t_b - t_a, t_a=t_a, t_b=t_b, port_a=port_a, port_b=port_b)
 
 
 def _apply_detector(times, ports, det: DetectorModel, span_lo, span_hi, g):
@@ -485,39 +462,37 @@ def _correlate(times, ports, halfspan, bin_width, nbins):
     return counts, int(ok.sum())
 
 
-def _simulate_block(scenario, rng, chunk_index, pulse_lo, n_p, halfspan, bin_width, nbins):
+def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbins):
+    """Coincidence counts of one pulse block: emission and routing, pair and
+    solo sampling, detector model, correlation."""
+    pulse_lo = chunk_index * CHUNK_PULSES
+    n_p = min(CHUNK_PULSES, scenario.n_pulses - pulse_lo)
+    T = scenario.rep_period
     g = _chunk_rng(rng, chunk_index)
-    times, ports = _mode_detections(scenario, g, pulse_lo, n_p)
-    span_lo = pulse_lo * scenario.rep_period
-    span_hi = (pulse_lo + n_p) * scenario.rep_period
-    times, ports = _apply_detector(times, ports, scenario.detector, span_lo, span_hi, g)
+    times, ports = _mode_detections(route, scenario, g, pulse_lo * T + np.arange(n_p) * T)
+    times, ports = _apply_detector(times, ports, scenario.detector, pulse_lo * T,
+                                   (pulse_lo + n_p) * T, g)
     return _correlate(times, ports, halfspan, bin_width, nbins)
 
 
-def _run_blocks(scenario, rng, block_fn, n_pulses, bin_width, window_periods, n_jobs):
+def _run_blocks(route, scenario, rng, label, bin_width, window_periods, n_jobs):
+    """Sum the block counts of the whole pulse train into a histogram."""
     halfspan = window_periods * scenario.rep_period
     nbins = 2 * int(round(halfspan / bin_width)) + 1  # odd count: lag 0 is a bin center
     halfspan = 0.5 * nbins * bin_width
-    n_blocks = (n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
-
-    def work(c):
-        lo = c * CHUNK_PULSES
-        n_p = min(CHUNK_PULSES, n_pulses - lo)
-        return block_fn(scenario, rng, c, lo, n_p, halfspan, bin_width, nbins)
-
+    n_blocks = (scenario.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
+    work = partial(_simulate_block, route, scenario, rng, halfspan=halfspan,
+                   bin_width=bin_width, nbins=nbins)
     counts = np.zeros(nbins, dtype=np.int64)
     total = 0
-    if n_jobs <= 1 or n_blocks == 1:
-        for c in range(n_blocks):
-            cc, t = work(c)
+    # the pool starts no thread unless pool.map is used
+    with ThreadPoolExecutor(max_workers=max(n_jobs, 1)) as pool:
+        mapper = map if n_jobs <= 1 or n_blocks == 1 else pool.map
+        for cc, t in mapper(work, range(n_blocks)):
             counts += cc
             total += t
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for cc, t in pool.map(work, range(n_blocks)):
-                counts += cc
-                total += t
-    return counts, total, halfspan
+    return CorrelationHistogram(bin_width=bin_width, counts=counts, rep_period=scenario.rep_period,
+                                n_pulses=scenario.n_pulses, mode=label, total_events=total)
 
 
 def simulate_histogram(scenario: InterferenceScenario, rng: RngSpec, *,
@@ -528,32 +503,8 @@ def simulate_histogram(scenario: InterferenceScenario, rng: RngSpec, *,
     Deterministic for a fixed RngSpec; n_jobs only distributes the fixed
     pulse blocks over threads and cannot change the counts.
     """
-    counts, total, _ = _run_blocks(scenario, rng, _simulate_block,
-                                   scenario.n_pulses, bin_width, window_periods, n_jobs)
-    return CorrelationHistogram(bin_width=bin_width, counts=counts,
-                                rep_period=scenario.rep_period,
-                                n_pulses=scenario.n_pulses, mode=scenario.mode,
-                                total_events=total)
-
-
-def _hbt_block(p2, scenario, rng, chunk_index, pulse_lo, n_p, halfspan, bin_width, nbins):
-    g = _chunk_rng(rng, chunk_index)
-    tr = scenario.pair.tau_r
-    T = scenario.rep_period
-    jit = scenario.emission_jitter
-    pulse_t = (pulse_lo + np.arange(n_p)) * T
-    two = g.random(n_p) < p2
-    j1 = g.normal(0.0, jit, n_p) if jit > 0 else np.zeros(n_p)
-    j2 = g.normal(0.0, jit, n_p) if jit > 0 else np.zeros(n_p)
-    t1 = pulse_t + j1 + g.exponential(tr, n_p)
-    p1 = (g.random(n_p) < 0.5).astype(np.int8)
-    t2 = (pulse_t + j2 + g.exponential(tr, n_p))[two]
-    p2_ports = (g.random(n_p) < 0.5).astype(np.int8)[two]
-    times = np.concatenate([t1, t2])
-    ports = np.concatenate([p1, p2_ports])
-    times, ports = _apply_detector(times, ports, scenario.detector,
-                                   pulse_lo * T, (pulse_lo + n_p) * T, g)
-    return _correlate(times, ports, halfspan, bin_width, nbins)
+    return _run_blocks(_ROUTES[scenario.mode], scenario, rng, scenario.mode,
+                       bin_width, window_periods, n_jobs)
 
 
 def simulate_hbt_purity(multi_photon_prob: float, scenario: InterferenceScenario,
@@ -562,19 +513,12 @@ def simulate_hbt_purity(multi_photon_prob: float, scenario: InterferenceScenario
     """Hanbury Brown-Twiss autocorrelation of a source that emits a second
     photon in a pulse with probability multi_photon_prob. The extracted
     central-to-side peak ratio converges to hbt_analytic_g2(multi_photon_prob).
+    The scenario's mode is not used.
     """
     if not 0 <= multi_photon_prob <= 1:
         raise ValueError(f"multi_photon_prob must lie in [0, 1], got {multi_photon_prob}")
-
-    def block(scn, r, c, lo, n_p, hs, bw, nb):
-        return _hbt_block(multi_photon_prob, scn, r, c, lo, n_p, hs, bw, nb)
-
-    counts, total, _ = _run_blocks(scenario, rng, block,
-                                   scenario.n_pulses, bin_width, window_periods, n_jobs)
-    return CorrelationHistogram(bin_width=bin_width, counts=counts,
-                                rep_period=scenario.rep_period,
-                                n_pulses=scenario.n_pulses, mode="hbt",
-                                total_events=total)
+    return _run_blocks(partial(_route_hbt, multi_photon_prob), scenario, rng, "hbt",
+                       bin_width, window_periods, n_jobs)
 
 
 def hbt_analytic_g2(multi_photon_prob: float) -> float:

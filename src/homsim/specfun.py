@@ -1,8 +1,8 @@
 """Special functions and adaptive quadrature used by the interference model.
 
-Everything here is generic numerics with no photon physics: the complementary
-error function, its scaled variant exp(x^2)*erfc(x) (which stays finite where
-the plain product overflows), and a global-adaptive Gauss-Kronrod integrator
+Everything here is generic numerics with no photon physics: the scaled
+complementary error function exp(x^2)*erfc(x) (which stays finite where the
+plain product overflows), and a global-adaptive Gauss-Kronrod integrator
 whose integrands are evaluated on node arrays.
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "erfc",
     "erfcx",
     "integrate_1d",
 ]
@@ -57,19 +56,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
-
-
-def erfc(x: float) -> float:
-    """Complementary error function.
-
-    Relative error is at the few-ulp level over the full double range; for
-    x beyond ~27.3 the true value drops under the smallest subnormal and 0.0
-    is returned.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"erfc requires finite input, got {x}")
-    return math.erfc(x)
 
 
 def erfcx(x: float) -> float:

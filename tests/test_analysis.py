@@ -67,6 +67,19 @@ class TestPeakAreas:
         assert corrected.g2_indist == pytest.approx(0.3, abs=0.01)
         assert biased.g2_indist > corrected.g2_indist
 
+    def test_windows_span_exactly_2w_on_and_off_the_bin_grid(self):
+        # flat histogram: every window covers 2W of it, whatever its centre's
+        # position on the 0.128 ns grid (the edge bins count in part)
+        bw, W, level = 0.128, 0.6, 1000
+        nbins = 2 * int(round(3 * 12.5 / bw)) + 1
+        h = CorrelationHistogram(bin_width=bw, counts=np.full(nbins, level), rep_period=12.5,
+                                 n_pulses=1, mode="double-pulse-same-emitter",
+                                 total_events=level * nbins)
+        sides = peak_areas(h, W, 2)
+        sats = g2_indist_double_pulse(h, 2.0, W)
+        for area in [sides.central_area, *sides.side_areas, *sats.side_areas]:
+            assert area == pytest.approx(2 * W / bw * level, rel=1e-12)
+
     def test_window_overlap_rejected(self):
         h = make_hist(peaks=[(0.0, 1000), (12.2, 1000), (-12.2, 1000)])
         with pytest.raises(WindowConfigurationError):

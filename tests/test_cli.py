@@ -113,6 +113,17 @@ class TestSimulate:
         assert cmd_simulate(cfg_path, tmp_path / "out") == 2
         assert "rng.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("emission_jitter_ns", float("nan")),
+                                              ("delta_tau_ns", float("inf")),
+                                              ("n_pulses", 1e30)])
+    def test_non_finite_or_too_many_pulses_exit_2(self, tmp_path, capsys, field, value):
+        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+        raw.update({"n_pulses": 2000, field: value})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_pulses=2000)
         blocker = tmp_path / "blocked"
@@ -257,6 +268,15 @@ class TestFit:
         assert cmd_fit(bad, "hom_dip", tmp_path / "f.json") == 2
         err = capsys.readouterr().err
         assert "row 3" in err and "column 2" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_has_row_column(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,b\n1.0,2.0\n1.5,{cell}\n2.0,1.0\n", encoding="utf-8")
+        assert main(["fit", "--model", "hom_dip", "--data", str(bad),
+                     "--out", str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert "row 3" in err and "column 2" in err and "finite" in err
 
     def test_wrong_column_count_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -164,13 +164,10 @@ class TestWavepacket:
         p1, p2 = PhotonWavePacket.pair(0.67, delta=2.0, delta_tau=0.3)
         assert p1.frequency_offset == -1.0 and p2.frequency_offset == +1.0
         assert p1.time_offset == +0.15 and p2.time_offset == -0.15
-        assert p1.sign == +1 and p2.sign == -1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PhotonWavePacket(tau_r=0.0)
-        with pytest.raises(ValueError):
-            PhotonWavePacket(tau_r=1.0, sign=2)
 
 
 class TestG2TL:
@@ -442,8 +439,6 @@ class TestTypeValidation:
             EmitterParams(tau_r=-1.0)
         with pytest.raises(ValueError):
             EmitterParams(tau_r=1.0, tau_deph=0.0)
-        with pytest.raises(ValueError):
-            EmitterParams(tau_r=1.0, sigma=-0.1)
         with pytest.raises(ValueError):
             EmitterParams(tau_r=1.0, fss=1.0, fss_weights=(0.0, 0.0))
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from homsim.montecarlo import (
     MODE_CROSS_POLARIZED,
     MODE_DOUBLE_PULSE,
     MODE_REMOTE,
+    MODES,
     DetectorModel,
     InterferenceScenario,
     RngSpec,
+    _ROUTES,
+    _route_hbt,
     _simulate_block,
     analytic_g2_indist,
     analytic_visibility,
     hbt_analytic_g2,
     multi_photon_prob_for_g2,
-    sample_pair_event,
     sample_pair_events,
     simulate_hbt_purity,
     simulate_histogram,
@@ -43,30 +46,36 @@ class TestDeterminism:
         assert np.array_equal(h1.counts, h2.counts)
         assert h1.total_events == h2.total_events
 
-    def test_parallel_equals_serial_bitwise(self):
-        scn = remote_scenario(150_000)  # three pulse blocks
+    @pytest.mark.parametrize("mode", MODES + ("hbt",))
+    def test_parallel_equals_serial_bitwise(self, mode):
+        # three pulse blocks through a lossy detector with jitter and dark counts
+        det = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
+        scn = InterferenceScenario(mode=MODE_REMOTE if mode == "hbt" else mode,
+                                   pair=PairSpec(tau_r=0.67, sigma_g=SIGMA_REMOTE),
+                                   rep_period=12.2, emission_jitter=0.1, n_pulses=150_000,
+                                   detector=det)
+        run = partial(simulate_hbt_purity, 0.05) if mode == "hbt" else simulate_histogram
         rng = RngSpec(seed=42)
-        h1 = simulate_histogram(scn, rng, window_periods=4, n_jobs=1)
-        h4 = simulate_histogram(scn, rng, window_periods=4, n_jobs=4)
+        h1 = run(scn, rng, window_periods=4, n_jobs=1)
+        h4 = run(scn, rng, window_periods=4, n_jobs=4)
+        assert h1.total_events > 0
         assert np.array_equal(h1.counts, h4.counts)
 
     def test_block_partition_sums_to_full_run(self):
-        # workers own whole pulse blocks; summing their integer counts must
-        # reproduce the single-stream run exactly
+        # workers own whole pulse blocks; summing the integer counts of the
+        # one block function must reproduce the full run exactly, for a
+        # pairing mode and for HBT alike
         scn = remote_scenario(150_000)
         rng = RngSpec(seed=43)
-        full = simulate_histogram(scn, rng, window_periods=4)
-        halfspan = full.window_halfspan()
-        nbins = full.counts.size
-        acc = np.zeros(nbins, dtype=np.int64)
-        n_left = scn.n_pulses
-        for c in range((scn.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES):
-            n_p = min(CHUNK_PULSES, n_left)
-            counts, _ = _simulate_block(scn, rng, c, c * CHUNK_PULSES, n_p,
-                                        halfspan, full.bin_width, nbins)
-            acc += counts
-            n_left -= n_p
-        assert np.array_equal(acc, full.counts)
+        runs = [(_ROUTES[scn.mode], simulate_histogram(scn, rng, window_periods=4)),
+                (partial(_route_hbt, 0.05), simulate_hbt_purity(0.05, scn, rng, window_periods=4))]
+        for route, full in runs:
+            acc = np.zeros(full.counts.size, dtype=np.int64)
+            for c in range((scn.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES):
+                counts, _ = _simulate_block(route, scn, rng, c, full.window_halfspan(),
+                                            full.bin_width, full.counts.size)
+                acc += counts
+            assert np.array_equal(acc, full.counts)
 
     def test_different_stream_different_events(self):
         scn = remote_scenario(50_000)
@@ -148,13 +157,6 @@ class TestPairEvents:
             errs.append(float(np.max(np.abs(hist - dens))))
         assert errs[2] < errs[1] < errs[0]
         assert errs[0] / errs[2] > 4.0
-
-    def test_single_event_api(self):
-        scn = remote_scenario()
-        ev = sample_pair_event(scn, RngSpec(seed=13))
-        assert isinstance(ev.opposite_port, bool)
-        assert ev.tau == pytest.approx(ev.times[1] - ev.times[0])
-        assert ev.ports[0] in (0, 1) and ev.ports[1] in (0, 1)
 
 
 class TestSimulateHistogram:
