@@ -1,7 +1,7 @@
 """Two-photon interference of pulsed single-photon emitters: analytic
 correlation functions, Monte Carlo coincidence simulation, and fitting."""
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .analysis import PeakAreaReport, WindowConfigurationError, g2_indist_double_pulse, peak_areas
 from .fitting import (
@@ -51,6 +51,6 @@ from .montecarlo import (
     simulate_hbt_purity,
     simulate_histogram,
 )
-from .specfun import QuadratureError, QuadratureSpec, erfcx, integrate_1d
+from .specfun import QuadratureError, QuadratureSpec, erfcx, erfcx_complex, integrate_1d
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import g2_indist_double_pulse, peak_areas
+from .analysis import WindowConfigurationError, g2_indist_double_pulse, peak_areas
 from .config import SCHEMA_VERSION, ConfigError, ScenarioConfig, load_config
 from .fitting import SingularModelError, fit_exponential_decay, fit_hom_dip, fit_michelson
 from .model import HBAR_UEV_NS
@@ -68,15 +68,20 @@ class _RunLog:
 
 
 def _measure_histogram(cfg: ScenarioConfig, rng: RngSpec):
-    """Simulate and extract the peak-area figures for the configured mode."""
+    """Simulate and extract the peak-area figures for the configured mode.
+    A histogram the peak windows cannot normalize (e.g. too few counts)
+    raises ConfigError."""
     hist = simulate_histogram(cfg.scenario, rng, bin_width=cfg.bin_width,
                               window_periods=cfg.window_periods, n_jobs=cfg.n_jobs)
-    if cfg.scenario.mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED):
-        report = g2_indist_double_pulse(hist, cfg.scenario.intra_delay,
-                                        cfg.analysis_window_halfwidth)
-    else:
-        report = peak_areas(hist, cfg.analysis_window_halfwidth, cfg.n_side_peaks,
-                            first_side_peak=cfg.first_side_peak())
+    try:
+        if cfg.scenario.mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED):
+            report = g2_indist_double_pulse(hist, cfg.scenario.intra_delay,
+                                            cfg.analysis_window_halfwidth)
+        else:
+            report = peak_areas(hist, cfg.analysis_window_halfwidth, cfg.n_side_peaks,
+                                first_side_peak=cfg.first_side_peak())
+    except WindowConfigurationError as exc:
+        raise ConfigError(f"cannot analyse the simulated histogram: {exc}") from exc
     return hist, report
 
 
@@ -98,15 +103,14 @@ def cmd_simulate(config_path, out_dir, seed=None) -> int:
     log = _RunLog()
     try:
         cfg = load_config(config_path)
+        rng = cfg.rng if seed is None else dataclasses.replace(cfg.rng, seed=seed)
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, rng=rng)
+        log.stage("config-loaded", mode=cfg.scenario.mode, n_pulses=cfg.scenario.n_pulses)
+        hist, report = _measure_histogram(cfg, rng)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rng = cfg.rng if seed is None else dataclasses.replace(cfg.rng, seed=seed)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, rng=rng)
-
-    log.stage("config-loaded", mode=cfg.scenario.mode, n_pulses=cfg.scenario.n_pulses)
-    hist, report = _measure_histogram(cfg, rng)
     log.stage("simulated", pairs=hist.total_events)
     g2_mc = report.g2_indist
     g2_ref = analytic_g2_indist(cfg.scenario)
@@ -267,6 +271,9 @@ def _load_xy_csv(path):
                             f"{path}: row {i}, column {j}: cannot parse {cell!r} as a number") from None
                     if not math.isfinite(v):
                         raise ConfigError(f"{path}: row {i}, column {j}: {cell!r} is not a finite number")
+                    if j == 3 and not (v > 0 and math.isfinite(1.0 / v)):
+                        raise ConfigError(
+                            f"{path}: row {i}, column {j}: y_error {cell!r} must be positive, with a finite reciprocal")
                     vals.append(v)
                 if vals is None:
                     continue
@@ -284,10 +291,7 @@ def _load_xy_csv(path):
     if not rows:
         raise ConfigError(f"{path}: no numeric data rows found")
     arr = np.asarray(rows, dtype=float)
-    weights = 1.0 / arr[:, 2] if arr.shape[1] == 3 else None
-    if weights is not None and not np.all(np.isfinite(weights)):
-        raise ConfigError(f"{path}: y_error column must be positive and finite")
-    return arr[:, :2], weights
+    return arr[:, :2], (1.0 / arr[:, 2] if arr.shape[1] == 3 else None)
 
 
 _FIT_MODELS = {

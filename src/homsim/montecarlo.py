@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import PairSpec, time_jitter_overlap_factor, visibility_inhom_quadrature
+from .model import PairSpec, time_jitter_overlap_factor, visibility_inhom_direct
 
 __all__ = [
     "MODE_CONSECUTIVE",
@@ -82,10 +82,10 @@ class DetectorModel:
     def __post_init__(self):
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
-        if self.timing_jitter_sigma < 0:
-            raise ValueError(f"timing_jitter_sigma must be >= 0, got {self.timing_jitter_sigma}")
-        if self.dark_rate < 0:
-            raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
+        if not (self.timing_jitter_sigma >= 0 and math.isfinite(self.timing_jitter_sigma)):
+            raise ValueError(f"timing_jitter_sigma must be finite and >= 0, got {self.timing_jitter_sigma}")
+        if not (self.dark_rate >= 0 and math.isfinite(self.dark_rate)):
+            raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate}")
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,13 @@ class InterferenceScenario:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.rep_period > 0:
-            raise ValueError(f"rep_period must be > 0, got {self.rep_period}")
+        if not (self.rep_period > 0 and math.isfinite(self.rep_period)):
+            raise ValueError(f"rep_period must be finite and > 0, got {self.rep_period}")
         if not 0 < self.intra_delay < self.rep_period:
             raise ValueError(
                 f"intra_delay must lie in (0, rep_period), got {self.intra_delay}")
-        if self.emission_jitter < 0:
-            raise ValueError(f"emission_jitter must be >= 0, got {self.emission_jitter}")
+        if not (self.emission_jitter >= 0 and math.isfinite(self.emission_jitter)):
+            raise ValueError(f"emission_jitter must be finite and >= 0, got {self.emission_jitter}")
         if self.n_pulses < 1:
             raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
 
@@ -540,8 +540,10 @@ def multi_photon_prob_for_g2(g2_target: float) -> float:
 
 def analytic_visibility(scenario: InterferenceScenario) -> float:
     """Model prediction for the peak-area interference visibility of the
-    scenario: the detuning/jitter ensemble average times the arrival-time
-    overlap factor from deliberate delay and emission jitter."""
+    scenario, in closed form: the detuning/jitter ensemble average
+    (visibility_inhom_direct, or 1/(1 + tau_r^2 delta0^2) without jitter)
+    times the arrival-time overlap factor from deliberate delay and emission
+    jitter."""
     if scenario.mode == MODE_CROSS_POLARIZED:
         return 0.0
     pair = scenario.pair
@@ -549,8 +551,7 @@ def analytic_visibility(scenario: InterferenceScenario) -> float:
     if pair.sigma_g == 0:
         f_freq = 1.0 / (1.0 + (pair.tau_r * pair.delta0) ** 2)
     else:
-        f_freq = visibility_inhom_quadrature(
-            PairSpec(tau_r=pair.tau_r, delta_tau=0.0, delta0=pair.delta0, sigma_g=pair.sigma_g))
+        f_freq = visibility_inhom_direct(pair.tau_r, pair.sigma_g, pair.delta0)
     return f_time * f_freq
 
 

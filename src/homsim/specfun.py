@@ -1,9 +1,10 @@
 """Special functions and adaptive quadrature used by the interference model.
 
 Everything here is generic numerics with no photon physics: the scaled
-complementary error function exp(x^2)*erfc(x) (which stays finite where the
-plain product overflows), and a global-adaptive Gauss-Kronrod integrator
-whose integrands are evaluated on node arrays.
+complementary error function exp(z^2)*erfc(z), for real x >= 0 and for
+complex z with Re z >= 0 (it stays finite where the plain product
+overflows), and a global-adaptive Gauss-Kronrod integrator whose integrands
+are evaluated on node arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "erfcx",
+    "erfcx_complex",
     "integrate_1d",
 ]
 
@@ -26,6 +28,26 @@ _SQRT_PI = math.sqrt(math.pi)
 # and the Laplace continued fraction, which converges rapidly for x >= 4.
 _ERFCX_CF_CROSSOVER = 4.0
 _ERFCX_CF_LEVELS = 40
+# Off the real axis the continued fraction converges slowest on the imaginary
+# axis; at |z| >= 8 its 40 levels are accurate to about 2e-16 for every
+# arg z in [-pi/2, pi/2].
+_ERFCX_COMPLEX_CF_RADIUS = 8.0
+
+
+def _weideman_coefficients(n):
+    """Coefficients a_n..a_1 (highest degree first) of Weideman's rational
+    expansion of the Faddeeva function w(z) = erfcx(-iz), SIAM J. Numer.
+    Anal. 31:1497 (1994): the FFT of exp(-t^2)*(L^2 + t^2) sampled at
+    t = L*tan(theta/2) on 4n equispaced angles, with L = sqrt(n/sqrt(2))."""
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    return scale, tuple(float(c) for c in a[n:0:-1])
+
+
+_WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
 
 
 @dataclass(frozen=True)
@@ -76,10 +98,62 @@ def erfcx(x: float) -> float:
         raise ValueError(f"erfcx is defined for x >= 0 only, got {x}")
     if x < _ERFCX_CF_CROSSOVER:
         return math.exp(x * x) * math.erfc(x)
-    t = x
+    return 1.0 / (_SQRT_PI * _laplace_cf(x))
+
+
+def _laplace_cf(w, h=1.0):
+    """Bottom-up value of w + (h/2)/(w + h/(w + (3h/2)/(w + ...))) over
+    40 levels, for real w > 0 or complex w with Re w >= 0.
+
+    With h = 1 this is the denominator of erfcx(z) = 1/(sqrt(pi) * cf(z));
+    for z = x*w it scales as cf(z) = x * cf(w, 1/x^2) (see _scaled_erfcx).
+    No level cancels: every real part stays non-negative, so Re of the
+    result is accurate relative to itself.
+    """
+    t = w
     for n in range(_ERFCX_CF_LEVELS, 0, -1):
-        t = x + (0.5 * n) / t
-    return 1.0 / (_SQRT_PI * t)
+        t = w + (0.5 * n * h) / t
+    return t
+
+
+def erfcx_complex(z: complex) -> complex:
+    """Scaled complementary error function exp(z^2) * erfc(z) for finite
+    complex z with Re z >= 0.
+
+    Below |z| = 8 this is Weideman's N = 40 rational expansion of
+    w(iz) = erfcx(z) in Z = (L - z)/(L + z),
+
+        erfcx(z) = 2 p(Z)/(L + z)^2 + 1/(sqrt(pi) (L + z)),
+
+    whose coefficients are computed once at import; from there out it is
+    the Laplace continued fraction shared with erfcx. Both agree with
+    mpmath to about 1e-15 relative; on the real axis they agree with erfcx.
+    """
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"erfcx_complex requires finite input, got {z}")
+    if z.real < 0.0:
+        raise ValueError(f"erfcx_complex is defined for Re z >= 0 only, got {z}")
+    if abs(z) >= _ERFCX_COMPLEX_CF_RADIUS:
+        return 1.0 / (_SQRT_PI * _laplace_cf(z))
+    d = 1.0 / (_WEIDEMAN_L + z)
+    big_z = (_WEIDEMAN_L - z) * d
+    p = 0.0
+    for c in _WEIDEMAN_COEFFS:
+        p = p * big_z + c
+    return (2.0 * p * d + 1.0 / _SQRT_PI) * d
+
+
+def _scaled_erfcx(w: complex, s: float) -> complex:
+    """sqrt(pi) * x * erfcx(x * w) with x = 1/s, for s >= 0 and Re w >= 0.
+
+    Where |x * w| >= 8 with s < 1, the only case in which x * w can
+    overflow (s may be 0), the continued fraction runs on w with the scale
+    carried in its coefficients: sqrt(pi) * x * erfcx(x * w) = 1/cf(w, s^2).
+    """
+    if s < 1.0 and abs(w) >= _ERFCX_COMPLEX_CF_RADIUS * s:
+        return 1.0 / _laplace_cf(w, s * s)
+    return _SQRT_PI / s * erfcx_complex(w / s)
 
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].

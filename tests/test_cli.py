@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +126,20 @@ class TestSimulate:
         cfg.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "detuning", "--range", "0:1:2"]])
+    def test_unanalysable_histogram_exit_2_without_traceback(self, tmp_path, command):
+        # a valid low-count run leaves the side windows empty
+        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+        raw.update({"n_pulses": 3, "detector": {**raw["detector"], "efficiency": 0.01}})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "homsim.cli", *command, "--config", str(cfg),
+                               "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "side windows contain no counts" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_pulses=2000)
@@ -277,6 +294,16 @@ class TestFit:
                      "--out", str(tmp_path / "f.json")]) == 2
         err = capsys.readouterr().err
         assert "row 3" in err and "column 2" in err and "finite" in err
+
+    @pytest.mark.parametrize("cell", ["-0.01", "0", "1e-320"])
+    def test_non_positive_y_error_has_row_column(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,b,err\n0.0,1.0,0.1\n1.0,0.6,{cell}\n2.0,0.4,0.1\n", encoding="utf-8")
+        assert main(["fit", "--model", "exp_decay", "--data", str(bad),
+                     "--out", str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert "row 3" in err and "column 3" in err and "positive" in err
+        assert not (tmp_path / "f.json").exists()
 
     def test_wrong_column_count_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

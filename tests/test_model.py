@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +29,7 @@ from homsim.model import (
     visibility_inhom_quadrature,
     wavepacket_amplitude,
 )
-from homsim.specfun import QuadratureSpec, integrate_1d
+from homsim.specfun import QuadratureSpec, erfcx, integrate_1d
 
 
 class TestCoherenceTime:
@@ -270,6 +271,21 @@ class TestPInhom:
             assert p_inhom_quadrature(tau, pair) == pytest.approx(p_inhom(tau, pair), abs=1e-9)
 
 
+def detuned_visibility_oracle(tau_r, sigma_g, delta0, dps=30):
+    """Remote-pair visibility in the frequency domain, independently of the
+    model: the Lorentzian overlap 1/(1 + tau_r^2 D^2) averaged over
+    D ~ N(delta0, 2 sigma_g^2) by mpmath quadrature, split at the Lorentzian
+    peak, the Gaussian centre and 12 Gaussian standard deviations either
+    side of it."""
+    with mpmath.workdps(dps):
+        t, d0, var = mpmath.mpf(tau_r), mpmath.mpf(delta0), 2 * mpmath.mpf(sigma_g) ** 2
+        f = lambda d: (mpmath.exp(-(d - d0) ** 2 / (2 * var)) / mpmath.sqrt(2 * mpmath.pi * var)
+                       / (1 + (t * d) ** 2))
+        h = 12 * mpmath.sqrt(var)
+        breaks = sorted({mpmath.mpf(0), d0, d0 - h, d0 + h})
+        return float(mpmath.quad(f, [-mpmath.inf, *breaks, mpmath.inf]))
+
+
 class TestInhomVisibility:
     def test_fourier_limited_asymptote(self):
         tau_r = 1.0
@@ -297,6 +313,33 @@ class TestInhomVisibility:
         # convention 0.0913... (= 2V - 1)
         assert visibility_inhom_direct(1.0, 1.0) == pytest.approx(0.5456413607650471, rel=1e-10)
         assert visibility_inhom_closed(1.0, 1.0) == pytest.approx(0.0912827215300941, rel=1e-9)
+
+    def test_detuned_closed_form_against_frequency_oracle(self):
+        # every (tau_r sigma_g, tau_r delta0) pair at tau_r = 0.67; the other
+        # two lifetimes on a sub-grid, which keeps the oracle under ~4 s
+        ts_all = (0.01, 0.1, 1.0, 10.0, 100.0)
+        td_all = (0.0, 0.3, -0.3, 3.0, -3.0, 30.0, -30.0, 300.0, -300.0)
+        grid = [(0.67, ts, td) for ts in ts_all for td in td_all]
+        grid += [(tau_r, ts, td) for tau_r in (0.2, 2.0) for ts in ts_all[::2]
+                 for td in (0.0, 0.3, -3.0, 30.0, -300.0)]
+        worst = 0.0
+        for tau_r, ts, td in grid:
+            sg, d0 = ts / tau_r, td / tau_r
+            v = visibility_inhom_direct(tau_r, sg, d0)
+            worst = max(worst, abs(v - detuned_visibility_oracle(tau_r, sg, d0)))
+        assert worst < 1e-13
+
+    def test_detuned_limits(self):
+        # delta0 = 0 is the undetuned expression sqrt(pi) x erfcx(x), on both
+        # sides of the switch to the continued fraction at x = 8
+        for x in (0.01, 0.5, 3.0, 7.9, 8.1, 50.0):
+            sg = 1.0 / (2.0 * 0.67 * x)
+            assert visibility_inhom_direct(0.67, sg, 0.0) == pytest.approx(
+                math.sqrt(math.pi) * x * erfcx(x), rel=2e-15)
+        # tau_r * delta0 or tau_r * sigma_g beyond the float range
+        for tau_r, sg, d0 in ((2.0, 1.0, 1e308), (2.0, 1e-5, -1e308), (1e10, 1e300, 0.0),
+                              (1e10, 1e300, 1e300)):
+            assert visibility_inhom_direct(tau_r, sg, d0) == 0.0
 
     def test_distinguishable_limit(self):
         pair = PairSpec(tau_r=0.67, sigma_g=1e5)
@@ -445,7 +488,9 @@ class TestTypeValidation:
             EmitterParams(tau_r=1.0, fss_tau_c=(0.3, 0.0))
 
     def test_pair_spec(self):
-        with pytest.raises(ValueError):
-            PairSpec(tau_r=0.0)
-        with pytest.raises(ValueError):
-            PairSpec(tau_r=1.0, sigma_g=-0.5)
+        for kw in ({"tau_r": 0.0}, {"tau_r": math.inf}, {"tau_r": math.nan},
+                   {"sigma_g": -0.5}, {"sigma_g": math.nan}, {"sigma_g": math.inf},
+                   {"delta0": math.nan}, {"delta0": -math.inf},
+                   {"delta_tau": math.inf}, {"delta_tau": math.nan}):
+            with pytest.raises(ValueError):
+                PairSpec(**{"tau_r": 1.0, **kw})

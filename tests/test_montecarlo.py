@@ -251,6 +251,16 @@ class TestSimulateHistogram:
                                  rep_period=12.2, n_pulses=0)
         with pytest.raises(ValueError):
             DetectorModel(efficiency=0.0)
+        for kw in ({"rep_period": math.inf}, {"rep_period": math.nan},
+                   {"emission_jitter": math.nan}, {"emission_jitter": math.inf}):
+            with pytest.raises(ValueError):
+                InterferenceScenario(**{"mode": MODE_REMOTE, "pair": PairSpec(tau_r=1.0),
+                                        "rep_period": 12.2, **kw})
+        for kw in ({"efficiency": math.nan}, {"timing_jitter_sigma": math.nan},
+                   {"timing_jitter_sigma": math.inf}, {"dark_rate": math.nan},
+                   {"dark_rate": math.inf}):
+            with pytest.raises(ValueError):
+                DetectorModel(**kw)
 
 
 class TestHbtPurity:
@@ -286,6 +296,19 @@ class TestAnalyticReferences:
     def test_remote_reference_equals_quadrature(self):
         scn = remote_scenario(1)
         assert analytic_visibility(scn) == pytest.approx(0.364, abs=1e-8)
+
+    def test_extreme_jitter_and_detuning_stay_finite(self):
+        # from sigma_g at the smallest subnormal (x = 1/(2 tau_r sigma_g)
+        # overflows) to 1e300, and detunings up to 1e150 rad/ns
+        tau_r = 0.67
+        for sg in (5e-324, 1e-300, 1e-200, 1e-20, 1e-8, 1.0, 1e8, 1e100, 1e300):
+            undetuned = visibility_inhom_direct(tau_r, sg)
+            for d0 in (0.0, 1.0, -1.0, 1e3, -1e3, 1e150, -1e150):
+                scn = remote_scenario(1, pair=PairSpec(tau_r=tau_r, delta0=d0, sigma_g=sg))
+                v = analytic_visibility(scn)
+                assert math.isfinite(v) and 0.0 <= v <= undetuned + 1e-15, (sg, d0, v)
+                if tau_r * sg <= 1e-8:
+                    assert v == pytest.approx(1.0 / (1.0 + (tau_r * d0) ** 2), abs=1e-13), (sg, d0)
 
     def test_jitter_factorization(self):
         # emission jitter multiplies the frequency-ensemble visibility

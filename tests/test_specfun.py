@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from homsim.specfun import QuadratureError, QuadratureSpec, erfcx, integrate_1d
+from homsim.specfun import QuadratureError, QuadratureSpec, erfcx, erfcx_complex, integrate_1d
 
 
 def erfc_series_reference(x, dps=50):
@@ -91,6 +91,44 @@ class TestErfcx:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             erfcx(float("nan"))
+
+
+def erfcx_mpmath(z, dps=40):
+    """exp(z^2) * erfc(z) in arbitrary precision, from mpmath's erfc."""
+    with mpmath.workdps(dps):
+        zm = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(zm * zm) * mpmath.erfc(zm))
+
+
+class TestErfcxComplex:
+    def test_against_mpmath_over_right_half_plane(self):
+        # |z| over twelve decades and arg z over [-pi/2, pi/2] with both ends
+        # exactly on the imaginary axis; 8 +- 1e-6 straddles the switch from
+        # the rational expansion to the continued fraction
+        radii = np.concatenate([np.geomspace(1e-6, 1e6, 37), [8.0 - 1e-6, 8.0, 8.0 + 1e-6]])
+        worst = 0.0
+        for r in radii:
+            for theta in np.linspace(-math.pi / 2, math.pi / 2, 13):
+                re = 0.0 if abs(theta) == math.pi / 2 else r * math.cos(theta)
+                z = complex(re, r * math.sin(theta))
+                ref = erfcx_mpmath(z)
+                worst = max(worst, abs(erfcx_complex(z) - ref) / abs(ref))
+        assert worst < 1e-13
+
+    def test_real_axis_matches_erfcx(self):
+        # erfcx itself is off mpmath by up to 1.02e-15 near x = 3.3, where
+        # exp(x*x) magnifies the rounding of x*x, so the two may differ by
+        # the sum of both errors
+        for x in np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 201)]):
+            v = erfcx_complex(complex(x))
+            assert v.imag == 0.0
+            assert v.real == pytest.approx(erfcx(x), rel=2e-15)
+
+    @pytest.mark.parametrize("z", [complex(-1e-3, 1.0), complex(float("nan"), 0.0),
+                                   complex(1.0, float("inf")), complex(float("inf"), 0.0)])
+    def test_outside_domain_rejected(self, z):
+        with pytest.raises(ValueError):
+            erfcx_complex(z)
 
 
 class TestIntegrate1d:
