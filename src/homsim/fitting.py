@@ -144,7 +144,7 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
                 lam *= 10.0
                 continue
             trial = p + delta
-            if not in_bounds(trial):
+            if not (np.all(np.isfinite(trial)) and in_bounds(trial)):
                 lam *= 10.0
                 continue
             r_trial = residual(trial)

@@ -83,17 +83,19 @@ class EmitterParams:
     fss_tau_c: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.tau_r > 0:
-            raise ValueError(f"tau_r must be > 0, got {self.tau_r}")
-        if self.tau_deph is not None and not self.tau_deph > 0:
-            raise ValueError(f"tau_deph must be > 0 when present, got {self.tau_deph}")
-        if self.fss < 0:
-            raise ValueError(f"fss must be >= 0, got {self.fss}")
+        # every check is written so that NaN fails it
+        if not (self.tau_r > 0 and math.isfinite(self.tau_r)):
+            raise ValueError(f"tau_r must be finite and > 0, got {self.tau_r}")
+        if self.tau_deph is not None and not (self.tau_deph > 0 and math.isfinite(self.tau_deph)):
+            raise ValueError(f"tau_deph must be finite and > 0 when present, got {self.tau_deph}")
+        if not (self.fss >= 0 and math.isfinite(self.fss)):
+            raise ValueError(f"fss must be finite and >= 0, got {self.fss}")
         a1, a2 = self.fss_weights
-        if a1 < 0 or a2 < 0 or (self.fss > 0 and a1 + a2 <= 0):
-            raise ValueError(f"fss_weights must be non-negative with positive sum, got {self.fss_weights}")
-        if self.fss_tau_c is not None and any(t <= 0 for t in self.fss_tau_c):
-            raise ValueError(f"fss_tau_c entries must be > 0, got {self.fss_tau_c}")
+        if not (a1 >= 0 and a2 >= 0 and math.isfinite(a1 + a2)) or (self.fss > 0 and not a1 + a2 > 0):
+            raise ValueError(f"fss_weights must be finite and non-negative with positive sum, "
+                             f"got {self.fss_weights}")
+        if self.fss_tau_c is not None and not all(t > 0 and math.isfinite(t) for t in self.fss_tau_c):
+            raise ValueError(f"fss_tau_c entries must be finite and > 0, got {self.fss_tau_c}")
 
 
 @dataclass(frozen=True)
@@ -495,9 +497,12 @@ def michelson_contrast(dt, params: EmitterParams):
         tc = coherence_time(params.tau_r, params.tau_deph)
         tc1 = tc2 = tc
     a1, a2 = params.fss_weights
-    out = np.sqrt(a1 ** 2 * np.exp(-2.0 * dt / tc1)
-                  + a2 ** 2 * np.exp(-2.0 * dt / tc2)
-                  + 2.0 * a1 * a2 * np.exp(-dt / tc1 - dt / tc2) * np.cos(params.fss * dt)) / (a1 + a2)
+    # the radicand is |a1 e^{-dt/tc1} + a2 e^{-dt/tc2} e^{i fss dt}|^2 >= 0; at a
+    # contrast zero rounding can take it just below 0
+    out = np.sqrt(np.maximum(a1 ** 2 * np.exp(-2.0 * dt / tc1)
+                             + a2 ** 2 * np.exp(-2.0 * dt / tc2)
+                             + 2.0 * a1 * a2 * np.exp(-dt / tc1 - dt / tc2) * np.cos(params.fss * dt),
+                             0.0)) / (a1 + a2)
     if out.ndim == 0:
         return float(out)
     return out

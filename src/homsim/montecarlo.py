@@ -23,9 +23,11 @@ distributed over workers; integer counts are summed, which is
 order-independent. Coincidence pairs are tallied within blocks; pairs that
 would straddle a block boundary are not counted, a deterministic O(window /
 (CHUNK_PULSES * rep_period)) ~ 1e-4 relative effect on side-peak areas.
-Version 0.2.0 draws the four pairing modes in the order of 0.1.0, so their
-histograms are unchanged for a given seed; HBT histograms and
-cross-polarized sample_pair_events batches are not.
+Version 0.3.0 samples meeting-pair delays with a per-row thinning envelope
+and far-offset wings in log space, so for a given seed the remote,
+consecutive and double-pulse histograms (and sample_pair_events batches
+outside cross-polarized operation) differ from 0.2.x, with the same
+statistics; cross-polarized and HBT histograms are unchanged.
 """
 
 from __future__ import annotations
@@ -186,27 +188,53 @@ def _chunk_rng(rng: RngSpec, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_g_wing(tau_r, a_abs, e_a, u):
+def _sample_g_wing(tau_r, a_abs, u):
     """Positive-delay sample from the wing density (up to normalization)
 
-        e^{-a} (e^{x/tau_r} - e^{-x/tau_r})          for 0 <= x < a*tau_r...
+        e^{-a} (e^{x/tau_r} - e^{-x/tau_r})          for 0 <= x < |dt|
         e^{-x/tau_r} (e^{a} - e^{-a})                for x >= |dt|
 
-    where a = |dt|/tau_r and e_a = e^{-a}. This is the non-negative
-    difference e^{-|x - dt|/tau_r} - e^{-(|dt| + x)/tau_r}, whose two CDF
-    pieces invert in closed form (arccosh below |dt|, a log tail above).
+    where a = |dt|/tau_r. This is the non-negative difference
+    e^{-|x - dt|/tau_r} - e^{-(|dt| + x)/tau_r}, whose two CDF pieces invert
+    in closed form: arccosh(1 + z) below |dt|, where z = u' e^a / (2 tau_r)
+    for u' the uniform scaled to the wing's mass, carried as log z so that
+    no e^{+-a} overflows or underflows; and an exponential tail past |dt|.
     u is uniform on [0, 1)."""
-    m1 = tau_r * (1.0 - e_a) ** 2
-    m_tot = 2.0 * tau_r * (1.0 - e_a)
-    uu = u * m_tot
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv_ea = 1.0 / np.maximum(e_a, 1e-300)
-        y = 1.0 + uu * inv_ea / (2.0 * tau_r)
-        x1 = tau_r * np.arccosh(np.maximum(y, 1.0))
-        denom = tau_r * np.maximum(inv_ea - e_a, 1e-300)
-        surv = e_a - (uu - m1) / denom
-        x2 = -tau_r * np.log(np.clip(surv, 1e-300, None))
-    return np.where(uu < m1, x1, x2)
+    em = -np.expm1(-a_abs)  # 1 - e^{-a}, exact as a -> 0
+    m1 = tau_r * em ** 2
+    uu = u * (2.0 * tau_r * em)
+    with np.errstate(divide="ignore"):
+        log_z = a_abs + np.log(uu / (2.0 * tau_r))
+        z = np.exp(np.minimum(log_z, 0.0))  # z where z <= 1
+        r = np.exp(-np.maximum(log_z, 0.0))  # 1/z where z > 1
+        x1 = np.where(log_z <= 0.0, np.log1p(z + np.sqrt(z * (z + 2.0))),
+                      log_z + np.log(1.0 + r + np.sqrt(1.0 + 2.0 * r)))
+        # the tail past |dt| holds mass tau_r (1 - e^{-2a}) and is e^{-x/tau_r}
+        x2 = a_abs - np.log1p(-(uu - m1) / (-tau_r * np.expm1(-2.0 * a_abs)))
+    return tau_r * np.where(uu < m1, x1, x2)
+
+
+def _thin(g, propose, accept, *params):
+    """Rejection sampling of one symmetric delay per row: propose(k) draws k
+    positive proposals and accept(x, *params) gives the acceptance
+    probability of proposals x for rows with the given parameter arrays, an
+    even function of the delay. Each round redraws only the rows still
+    pending. An accepted row's uniform u is uniform on [0, p) given
+    acceptance with probability p, independent of x, so u < p/2 gives the
+    delay's sign without another draw."""
+    vals = np.empty(params[0].size)
+    pending = np.arange(vals.size)
+    while pending.size:
+        prop = propose(pending.size)
+        p = accept(prop, *params)
+        u = g.random(pending.size)
+        signed = np.copysign(prop, 0.5 * p - u)
+        miss = u >= p
+        hit = np.nonzero(~miss)[0]
+        vals[pending[hit]] = signed[hit]
+        pending = pending.compress(miss)
+        params = [q.compress(miss) for q in params]
+    return vals
 
 
 def _sample_tau(tau_r, dtau, delta, opposite, g):
@@ -218,42 +246,39 @@ def _sample_tau(tau_r, dtau, delta, opposite, g):
     (sign -1 for opposite ports, +1 for bunched pairs). The density splits
     exactly into three non-negative parts: two mirror-image wing terms
     (sampled by closed-form inverse CDF) and an even interference term
-    e^{-(|dt|+|t|)/tau_r} (2 + 2 sign cos(delta t)), sampled by thinning an
-    exponential proposal. The thinning acceptance is (1 + sign*cos)/2, and
-    because the interference component is picked in proportion to its own
-    mass, the expected number of proposal rounds per pair stays O(1) even at
-    the interference null."""
-    n = dtau.size
-    s = np.where(opposite, -1.0, 1.0)
-    a_abs = np.abs(dtau) / tau_r
-    e_a = np.exp(-a_abs)
-    lorentz = 1.0 / (1.0 + (tau_r * delta) ** 2)
-    m_wing = 2.0 * tau_r * (1.0 - e_a)  # each of the two wings
-    m_int = 4.0 * tau_r * e_a * (1.0 + s * lorentz)
-    u_comp = g.random(n) * (2.0 * m_wing + m_int)
-    u_val = g.random(n)
-    pick1 = u_comp < m_wing
-    pick2 = ~pick1 & (u_comp < 2.0 * m_wing)
-    pick_int = ~(pick1 | pick2)
+    e^{-(|dt|+|t|)/tau_r} (2 + 2 sign cos(delta t)), sampled by thinning.
 
-    tau = np.zeros(n)
-    wing = pick1 | pick2
-    if np.any(wing):
-        x = _sample_g_wing(tau_r, a_abs[wing], e_a[wing], u_val[wing])
-        orient = np.where(pick1[wing], 1.0, -1.0) * np.sign(dtau[wing])
+    The thinning envelope is chosen per row, so that every row accepts with
+    probability >= 1/3 and a block needs O(log n) proposal rounds. Opposite-
+    port rows with x = tau_r delta, x^2 < 2, thin a Gamma(3, tau_r) proposal,
+    because 1 - cos(delta t) <= (delta t)^2 / 2, and accept with
+    (sin(delta t/2) / (delta t/2))^2 at rate 1/(1 + x^2). Every other row
+    thins the exponential proposal with acceptance (1 + sign cos(delta t))/2,
+    at rate x^2 / (2 (1 + x^2)) >= 1/3 for opposite ports and >= 1/2 for
+    bunched pairs."""
+    n = dtau.size
+    a_abs = np.abs(dtau) / tau_r
+    x2 = (tau_r * delta) ** 2
+    m_wing = -2.0 * tau_r * np.expm1(-a_abs)  # each of the two wings
+    # 4 tau_r e^{-a} (1 + sign/(1 + x^2)), without cancellation at small x
+    m_int = 4.0 * tau_r * np.exp(-a_abs) * (x2 + 2.0 * ~opposite) / (1.0 + x2)
+    u_comp = g.random(n) * (2.0 * m_wing + m_int)
+    pick_int = u_comp >= 2.0 * m_wing
+
+    tau = np.empty(n)
+    wing = np.nonzero(~pick_int)[0]
+    if wing.size:
+        x = _sample_g_wing(tau_r, a_abs[wing], g.random(wing.size))
+        orient = np.where(u_comp[wing] < m_wing[wing], 1.0, -1.0) * np.sign(dtau[wing])
         tau[wing] = orient * x
-    idx = np.nonzero(pick_int)[0]
-    if idx.size:
-        vals = np.empty(idx.size)
-        pending = np.arange(idx.size)
-        while pending.size:
-            rows = idx[pending]
-            prop = g.exponential(tau_r, pending.size)
-            acc = g.random(pending.size) < 0.5 * (1.0 + s[rows] * np.cos(delta[rows] * prop))
-            vals[pending[acc]] = prop[acc]
-            pending = pending[~acc]
-        flip = np.where(g.random(idx.size) < 0.5, 1.0, -1.0)
-        tau[idx] = flip * vals
+    gam = pick_int & opposite & (x2 < 2.0)
+    ig = np.nonzero(gam)[0]
+    # np.sinc(y) = sin(pi y)/(pi y); (1 - cos x)/(x^2/2) would cancel to 0
+    tau[ig] = _thin(g, partial(g.gamma, 3.0, tau_r), lambda t, d: np.sinc(d * t) ** 2,
+                    delta[ig] / (2.0 * math.pi))
+    ie = np.nonzero(pick_int & ~gam)[0]
+    tau[ie] = _thin(g, partial(g.exponential, tau_r), lambda t, d, hs: 0.5 + hs * np.cos(d * t),
+                    delta[ie], 0.5 - opposite[ie])
     return tau
 
 
@@ -441,25 +466,31 @@ def _apply_detector(times, ports, det: DetectorModel, span_lo, span_hi, g):
 
 def _correlate(times, ports, halfspan, bin_width, nbins):
     """Histogram of t2 - t1 over all detector-1/detector-2 detection pairs
-    with |t2 - t1| <= halfspan."""
+    with |t2 - t1| <= halfspan, and the number of pairs binned.
+
+    Detector-1 detection i pairs with the run d2[lo[i]:lo[i] + per[i]] of
+    sorted detector-2 times. The pairs are walked one lag diagonal k at a
+    time (the k-th partner of every detection whose run is longer than k),
+    so no array is as long as the number of pairs; each pair's delay and bin
+    are computed as they would be pair by pair, so the counts are too."""
     d1 = np.sort(times[ports == 0])
     d2 = np.sort(times[ports == 1])
     counts = np.zeros(nbins, dtype=np.int64)
     if d1.size == 0 or d2.size == 0:
         return counts, 0
     lo = np.searchsorted(d2, d1 - halfspan, side="left")
-    hi = np.searchsorted(d2, d1 + halfspan, side="right")
-    per = hi - lo
-    total = int(per.sum())
-    if total == 0:
-        return counts, 0
-    reps = np.repeat(np.cumsum(per) - per, per)
-    idx2 = np.repeat(lo, per) + (np.arange(total) - reps)
-    tau = d2[idx2] - np.repeat(d1, per)
-    bins = np.floor((tau + halfspan) / bin_width).astype(np.int64)
-    ok = (bins >= 0) & (bins < nbins)
-    counts += np.bincount(bins[ok], minlength=nbins)
-    return counts, int(ok.sum())
+    per = np.searchsorted(d2, d1 + halfspan, side="right") - lo
+    # longest runs first, so the rows with a k-th partner are a prefix
+    order = np.argsort(-per)
+    d1, lo, per = d1[order], lo[order], per[order]
+    total = 0
+    for k, m in enumerate(np.searchsorted(-per, -np.arange(per[0]), side="left")):
+        tau = d2[lo[:m] + k] - d1[:m]
+        bins = np.floor((tau + halfspan) / bin_width).astype(np.int64)
+        bins = bins[(bins >= 0) & (bins < nbins)]
+        counts += np.bincount(bins, minlength=nbins)
+        total += bins.size
+    return counts, total
 
 
 def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbins):

@@ -262,6 +262,20 @@ class TestFit:
         r = json.loads(out.read_text())
         assert r["parameters"]["tau_r"] == pytest.approx(0.67, abs=1e-9)
 
+    def test_michelson_contrast_zeros_fit(self, tmp_path):
+        # an equal-weight doublet beating to exact contrast zeros once drove an
+        # LM iterate to fss = NaN, which EmitterParams now rejects
+        data = tmp_path / "zeros.csv"
+        t = np.linspace(0.0, 2.0, 41)
+        y = np.abs(np.cos(np.pi * t)) * np.exp(-t / 5.0)
+        rows = ["delay_ns,fringe_contrast"] + [f"{a:.17g},{b:.17g}" for a, b in zip(t, y)]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "fit.json"
+        assert cmd_fit(data, "michelson", out) == 0
+        r = json.loads(out.read_text())
+        assert r["parameters"]["fss"] == pytest.approx(2 * np.pi, rel=1e-6)
+        assert r["parameters"]["tau_c1"] == pytest.approx(5.0, rel=1e-4)
+
     def test_weighted_column_accepted(self, tmp_path):
         data = tmp_path / "d.csv"
         t = np.linspace(-2, 2, 15)

@@ -78,6 +78,21 @@ class TestNlls:
             nlls(lambda x, p: p[0] * x, np.arange(3.0), np.arange(3.0), [5.0],
                  bounds=[(0.0, 1.0)])
 
+    def test_non_finite_trial_is_a_rejected_step(self):
+        # the model rejects non-finite parameters, as EmitterParams does; the
+        # data's optimum (2.5e308) lies past the float range, so the first
+        # Gauss-Newton trial overflows to inf and must be rejected, not evaluated
+        def model(x, p):
+            if not np.all(np.isfinite(p)):
+                raise ValueError(f"non-finite parameter {p}")
+            return p[0] * 1e-160 * x
+
+        x = np.linspace(1.0, 2.0, 5)
+        with np.errstate(over="ignore"):
+            res = nlls(model, x, 2.5e148 * x, [1e308], max_iter=1)
+        assert math.isfinite(res.parameters["p0"]) and res.parameters["p0"] > 1e308
+        assert res.iterations == 1
+
     def test_more_parameters_than_points_rejected(self):
         with pytest.raises(ValueError):
             nlls(lambda x, p: p[0] + p[1] * x + p[2] * x * x, np.arange(2.0),

@@ -436,6 +436,18 @@ class TestMichelsonContrast:
         with pytest.raises(ValueError):
             michelson_contrast(-0.1, prm)
 
+    def test_contrast_zeros_stay_finite(self):
+        # a Levenberg-Marquardt iterate near an equal-weight doublet that
+        # beats to an exact zero at dt = 1.5: rounding takes the radicand
+        # just below 0 there
+        dts = np.linspace(0.0, 2.0, 41)
+        prm = EmitterParams(tau_r=1.0, fss=6.283185308095183,
+                            fss_weights=(0.49999998227358683, 0.5000000177264132),
+                            fss_tau_c=(5.000001009656531, 4.9999995599838485))
+        c = michelson_contrast(dts, prm)
+        assert np.all(np.isfinite(c))
+        assert c == pytest.approx(np.abs(np.cos(math.pi * dts)) * np.exp(-dts / 5.0), abs=1e-6)
+
 
 class TestVisibilityFromG2:
     def test_published_pair(self):
@@ -486,6 +498,12 @@ class TestTypeValidation:
             EmitterParams(tau_r=1.0, fss=1.0, fss_weights=(0.0, 0.0))
         with pytest.raises(ValueError):
             EmitterParams(tau_r=1.0, fss_tau_c=(0.3, 0.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            for kw in ({"tau_r": bad}, {"tau_deph": bad}, {"fss": bad},
+                       {"fss_weights": (bad, 1.0)}, {"fss_weights": (1.0, bad)},
+                       {"fss_tau_c": (bad, 0.3)}, {"fss_tau_c": (0.3, bad)}):
+                with pytest.raises(ValueError):
+                    EmitterParams(**{"tau_r": 1.0, "fss": 1.0, **kw})
 
     def test_pair_spec(self):
         for kw in ({"tau_r": 0.0}, {"tau_r": math.inf}, {"tau_r": math.nan},
