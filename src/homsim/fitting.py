@@ -263,6 +263,10 @@ def fit_exponential_decay(points, weights=None) -> FitResult:
                 weights=weights, bounds=[(0.0, None), (1e-12, None)])
 
 
+# nlls box of the Michelson fit: (mix, log tau_c1, log tau_c2, fss)
+_MICHELSON_BOUNDS = [(-25.0, 25.0), (-12.0, 12.0), (-12.0, 12.0), None]
+
+
 def _michelson_starts(dt, y):
     """Deterministic starting points for the beating-contrast fit.
 
@@ -271,7 +275,10 @@ def _michelson_starts(dt, y):
     the upper envelope (local maxima of the lightly smoothed contrast) and
     the beat frequency from both the first minimum position and the median
     minimum spacing; the fit is started from each combination and the lowest
-    residual wins."""
+    residual wins. The envelope is regressed in units near the longest
+    delay, so any delay scale is well conditioned, and every start is
+    clamped into the fit's bounds."""
+    span = float(dt.max())
     k = max(3, min(9, dt.size // 12) | 1)
     ys = np.convolve(y, np.ones(k) / k, mode="same") if dt.size >= 3 * k else y.copy()
     inner = slice(1, dt.size - 1)
@@ -279,16 +286,19 @@ def _michelson_starts(dt, y):
     is_max = (ys[inner] >= ys[:-2]) & (ys[inner] >= ys[2:])
     t_inner = dt[inner]
 
-    # envelope decay time from the local maxima (always includes dt ~ 0)
-    tm = np.concatenate([[dt[0]], t_inner[is_max]])
+    # envelope decay time from the local maxima (always includes dt ~ 0),
+    # regressed in units of the power of two just above the longest delay:
+    # well conditioned at any delay scale, and an exact rescaling
+    unit = 2.0 ** math.frexp(span)[1]
+    um = np.concatenate([[dt[0]], t_inner[is_max]]) / unit
     ym = np.concatenate([[max(y[0], 1e-3)], np.maximum(ys[inner][is_max], 1e-3)])
-    if tm.size >= 2 and tm[-1] > tm[0]:
-        slope = np.polyfit(tm, np.log(ym), 1)[0]
-        tau_env = -1.0 / slope if slope < -1e-9 else float(dt[-1])
+    if um.size >= 2 and um[-1] > um[0]:
+        slope = np.polyfit(um, np.log(ym), 1)[0]  # per unit
+        tau_env = -unit / slope if slope < -1e-9 * unit else span
     else:
         below = dt[y < math.exp(-1)]
-        tau_env = float(below.min()) if below.size else float(dt[-1])
-    tau_env = min(max(tau_env, 1e-4), 10 * float(dt[-1]))
+        tau_env = float(below.min()) if below.size else span
+    tau_env = min(max(tau_env, 1e-4 * span), 10 * span)
 
     fss_cands = []
     t_mins = t_inner[is_min]
@@ -299,12 +309,14 @@ def _michelson_starts(dt, y):
         if spacing > 0:
             fss_cands.append(2.0 * math.pi / spacing)
     if not fss_cands:
-        fss_cands.append(math.pi / max(float(dt[-1]), 1e-9))
+        fss_cands.append(math.pi / span)
 
     starts = []
     for f0 in dict.fromkeys(round(f, 6) for f in fss_cands):
         for s1, s2 in ((1.6, 0.6), (1.0, 0.4)):
-            starts.append([0.0, math.log(s1 * tau_env), math.log(s2 * tau_env), f0])
+            p0 = [0.0, math.log(s1 * tau_env), math.log(s2 * tau_env), f0]
+            starts.append([v if b is None else min(max(v, b[0]), b[1])
+                           for v, b in zip(p0, _MICHELSON_BOUNDS)])
     return starts
 
 
@@ -322,8 +334,8 @@ def fit_michelson(points, weights=None) -> FitResult:
     dt, y = _as_xy(points, "fit_michelson")
     if dt.size < 8:
         raise ValueError(f"need at least 8 points, got {dt.size}")
-    if np.any(dt < 0):
-        raise ValueError("Michelson delays must be >= 0")
+    if np.any(dt < 0) or not np.any(dt > 0):
+        raise ValueError("Michelson delays must be >= 0 and not all 0")
     if np.any((y < 0) | (y > 1.0 + 1e-9)):
         raise ValueError("contrasts must lie in [0, 1]")
 
@@ -339,7 +351,7 @@ def fit_michelson(points, weights=None) -> FitResult:
     for p0 in starts:
         cand = nlls(contrast, dt, y, p0, names=["mix", "log_tau_c1", "log_tau_c2", "fss"],
                     weights=weights, on_singular="flag",
-                    bounds=[(-25.0, 25.0), (-12.0, 12.0), (-12.0, 12.0), None])
+                    bounds=_MICHELSON_BOUNDS)
         if res is None or cand.residual_norm < res.residual_norm:
             res = cand
 

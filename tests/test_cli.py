@@ -276,6 +276,24 @@ class TestFit:
         assert r["parameters"]["fss"] == pytest.approx(2 * np.pi, rel=1e-6)
         assert r["parameters"]["tau_c1"] == pytest.approx(5.0, rel=1e-4)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-150, 1e-250])
+    def test_michelson_far_from_nanoseconds_without_traceback(self, tmp_path, scale):
+        # starting points once fell outside the fit's bounds (1e-6) and the
+        # envelope regression failed inside LAPACK (1e-250)
+        data = tmp_path / "scaled.csv"
+        u = np.linspace(0.0, 1.0, 20)
+        rows = ["delay_ns,fringe_contrast"] + [f"{scale * a:.17g},{b:.17g}"
+                                               for a, b in zip(u, np.exp(-u / 0.3))]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "homsim.cli", "fit", "--model", "michelson",
+                               "--data", str(data), "--out", str(tmp_path / "fit.json")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode in (0, 2)
+        if proc.returncode == 2:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "DLASCL" not in proc.stderr
+
     def test_weighted_column_accepted(self, tmp_path):
         data = tmp_path / "d.csv"
         t = np.linspace(-2, 2, 15)

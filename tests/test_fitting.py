@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from homsim.fitting import (
+    _MICHELSON_BOUNDS,
     SingularModelError,
+    _michelson_starts,
     fit_exponential_decay,
     fit_hom_dip,
     fit_michelson,
@@ -207,6 +209,18 @@ class TestFitMichelson:
                 hits += 1
         assert hits >= 22
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-150, 1e-250, 1e6, 1e300])
+    def test_starts_inside_bounds_at_any_delay_scale(self, scale):
+        # delays far outside the representable coherence times still fit
+        # (the bounds cap the result) instead of failing on the start
+        u = np.linspace(0.0, 1.0, 20)
+        y = np.exp(-u / 0.3)
+        for p0 in _michelson_starts(scale * u, y):
+            assert all(np.isfinite(p0))
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(p0, _MICHELSON_BOUNDS[:3]))
+        res = fit_michelson(np.column_stack([scale * u, y]))
+        assert all(math.isfinite(v) for v in res.parameters.values())
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_michelson([(0.0, 1.0), (0.1, 0.9)])
@@ -215,3 +229,5 @@ class TestFitMichelson:
             fit_michelson(np.column_stack([dts, np.full(dts.size, 1.2)]))
         with pytest.raises(ValueError):
             fit_michelson(np.column_stack([dts - 0.5, np.full(dts.size, 0.5)]))
+        with pytest.raises(ValueError):
+            fit_michelson(np.column_stack([0 * dts, np.full(dts.size, 0.5)]))

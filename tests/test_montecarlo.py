@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -155,6 +157,47 @@ class TestDeterminism:
             RngSpec(seed=1, stream_id=2 ** 32)
 
 
+PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json",
+                  MODE_DOUBLE_PULSE: "double-pulse-rf.json",
+                  MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
+LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
+PINNED_SHA256 = {  # sha256 of the int64 counts' bytes; the 0.3.0 stream, kept by 0.3.1
+    (MODE_REMOTE, False): "e440562c6d6745a55cd8be83736c0fc0ee25d96ee2fe5cab6ca7c87985f45d62",
+    (MODE_REMOTE, True): "76f6d6b7320853a5c96719bbbe8272b98f189f0c4e2f2aa145afcd87e2d023f3",
+    (MODE_CONSECUTIVE, False): "ff295c41bac55188d8bd7cebd370470d1cc3f18cbe62dcc6c17ab272c7cbe60c",
+    (MODE_CONSECUTIVE, True): "19bb3d1254fd13e10e80efb9d5f593628609e7117a95b7af09afd3847cc71dc6",
+    (MODE_DOUBLE_PULSE, False): "1ce2faf6a29a10b196d531910fc992d8ff8eda4d516f6b3f2e4b8fa7f135d1a4",
+    (MODE_DOUBLE_PULSE, True): "c1c5eeb65a5064c06341a2ad437d3410c82dd1ea0eb6d07e394ba83f31787781",
+    (MODE_CROSS_POLARIZED, False): "e2a46dabb6c379bacb1180bf69a5568d725dde921a465c57fb4d38c15eafeba4",
+    (MODE_CROSS_POLARIZED, True): "a171d7b538d9ef521ca0ac05df36ec4d19214373d48c94d61d613cd77cf70c79",
+    ("hbt", False): "3b58c1a44e0fe54ce6ffacc1f988f1ebde27f991812d11a85cfcf0626110f873",
+    ("hbt", True): "221f93a764cd02cdf4a012934f6f35cc5fd8ae03f5b60d1e4ec971a878e82f0a",
+}
+
+
+def pinned_counts(mode, lossy):
+    """Counts of 200,000 pulses at seed 7 from the bundled config of the
+    mode, with its own (ideal) detector or with LOSSY_DETECTOR."""
+    cfg = load_config(CONFIG_DIR / PINNED_CONFIGS[mode])
+    scn = replace(cfg.scenario, n_pulses=200_000)
+    if lossy:
+        scn = replace(scn, detector=LOSSY_DETECTOR)
+    run = partial(simulate_hbt_purity, 0.05) if mode == "hbt" else simulate_histogram
+    return run(scn, RngSpec(seed=7), bin_width=cfg.bin_width,
+               window_periods=cfg.window_periods).counts
+
+
+class TestPinnedHistograms:
+    @pytest.mark.parametrize("lossy", [False, True], ids=["own-detector", "lossy-detector"])
+    @pytest.mark.parametrize("mode", list(PINNED_CONFIGS))
+    def test_counts_hash_is_pinned(self, mode, lossy):
+        """The histogram of a fixed seed is part of the version's contract:
+        refactors and speed-ups within a version keep these hashes. A change
+        that alters the random stream bumps the version and re-pins them."""
+        digest = hashlib.sha256(pinned_counts(mode, lossy).tobytes()).hexdigest()
+        assert digest == PINNED_SHA256[mode, lossy]
+
+
 class TestPairEvents:
     def test_perfect_interference_never_splits(self):
         scn = remote_scenario(pair=PairSpec(tau_r=0.67))
@@ -300,6 +343,63 @@ class TestPairSampler:
                 got = _correlate(times, p, halfspan, bw, nbins)
                 ref = correlate_by_repeat(times, p, halfspan, bw, nbins)
                 assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+
+def assert_correlate_matches(times, ports, halfspan, bin_width, nbins):
+    got = _correlate(times, ports, halfspan, bin_width, nbins)
+    ref = correlate_by_repeat(times, ports, halfspan, bin_width, nbins)
+    assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+    return got
+
+
+class TestCorrelateEdges:
+    """_correlate against the pair enumeration where its window ranks and
+    edge cells could differ from it."""
+
+    def test_delays_at_and_one_ulp_past_the_window(self):
+        for halfspan, bw in ((0.3, 0.05), (0.375, 0.125), (4.5 * 12.2, 0.128)):
+            nbins = int(round(2 * halfspan / bw))
+            d1 = np.array([10.0, 237.25, 1e4 / 3])  # further apart than 2 * halfspan
+            edges = np.concatenate([d1 - halfspan, d1 + halfspan])
+            d2 = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+            times = np.concatenate([d1, d2])
+            ports = np.repeat(np.array([0, 1], dtype=np.int8), [d1.size, d2.size])
+            _, total = assert_correlate_matches(times, ports, halfspan, bw, nbins)
+            # four delays per detection lie within +-halfspan; those at the
+            # upper edge may bin to nbins and drop out
+            assert 2 * d1.size <= total <= 4 * d1.size
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_exact_ties_between_window_edges_and_detections(self, side):
+        # on a binary grid every d1 -+ halfspan lands exactly on detector-2
+        # times, some of them repeated, at the lower or the upper edge
+        halfspan, bw, nbins = 0.375, 0.125, 6
+        rng = np.random.default_rng(3)
+        d1 = np.sort(rng.integers(0, 400, 300)) * 0.125
+        edge = d1 - halfspan if side == "left" else d1 + halfspan
+        d2 = np.concatenate([edge, edge[::3], rng.integers(0, 400, 300) * 0.125])
+        times = np.concatenate([d1, d2])
+        ports = np.repeat(np.array([0, 1], dtype=np.int8), [d1.size, d2.size])
+        perm = rng.permutation(times.size)
+        _, total = assert_correlate_matches(times[perm], ports[perm], halfspan, bw, nbins)
+        assert total > d2.size
+
+    @pytest.mark.parametrize("nbins", [10, 12, 15])
+    def test_bin_grid_narrower_or_wider_than_the_window(self, nbins):
+        # nbins * bin_width below 2 * halfspan puts delays past the last bin
+        rng = np.random.default_rng(4)
+        times = np.sort(rng.random(5_000)) * 200.0
+        ports = (rng.random(times.size) < 0.5).astype(np.int8)
+        counts, total = assert_correlate_matches(times, ports, 0.3, 0.05, nbins)
+        assert counts.size == nbins and total == counts.sum() > 0
+
+    def test_empty_port(self):
+        times = np.array([1.0, 1.2, 5.0])
+        for ports in (np.zeros(3, np.int8), np.ones(3, np.int8)):
+            counts, total = assert_correlate_matches(times, ports, 0.3, 0.05, 12)
+            assert total == 0 and counts.size == 12 and not counts.any()
+        counts, total = assert_correlate_matches(np.empty(0), np.empty(0, np.int8), 0.3, 0.05, 12)
+        assert total == 0 and counts.size == 12
 
 
 class TestSimulateHistogram:
