@@ -161,7 +161,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
             rep_period=rep_period,
             intra_delay=_number(raw, "intra_delay_ns", default=min(2.0, 0.5 * rep_period)),
             emission_jitter=_number(raw, "emission_jitter_ns", default=0.0),
-            # blocks are addressed by a 32-bit Philox counter word
+            # _chunk_rng keys each block by a block index below 2^32
             n_pulses=_number(raw, "n_pulses", default=100_000, integer=True, lo=1,
                              hi=CHUNK_PULSES * 2 ** 32),
             detector=detector,

@@ -372,15 +372,21 @@ def fit_michelson(points, weights=None) -> FitResult:
         errors["tau_c1"], errors["tau_c2"] = errors["tau_c2"], errors["tau_c1"]
         params["a1"], params["a2"] = params["a2"], params["a1"]
 
-    message = res.message
+    notes = [res.message] if res.message else []
     if res.correlations is not None:
         c = abs(float(res.correlations[1, 2]))
         if np.isfinite(c) and c > 0.99:
-            message = (message + "; " if message else "") + (
-                f"coherence times degenerate (correlation {c:.3f} > 0.99): "
-                "the data do not resolve two components")
+            notes.append(f"coherence times degenerate (correlation {c:.3f} > 0.99): "
+                         "the data do not resolve two components")
+    # a log coherence time on its box edge is where the fit stopped, not a
+    # fit; damped steps creep up to an edge and stop ~1e-14 short of it
+    edges = [b for b in _MICHELSON_BOUNDS[1]
+             if any(abs(res.parameters[k] - b) < 1e-9 for k in ("log_tau_c1", "log_tau_c2"))]
+    for b in edges:
+        notes.append(f"a coherence time sits on the fit bound log tau_c = {b:g} "
+                     f"(tau_c = {math.exp(b):.6g} ns)")
     return FitResult(parameters=params, standard_errors=errors,
-                     residual_norm=res.residual_norm, converged=res.converged,
+                     residual_norm=res.residual_norm, converged=res.converged and not edges,
                      iterations=res.iterations, covariance=res.covariance,
-                     correlations=res.correlations, message=message,
+                     correlations=res.correlations, message="; ".join(notes),
                      ssr_history=res.ssr_history)

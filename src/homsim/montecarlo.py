@@ -17,20 +17,29 @@ slower on the half-full masks that routing produces.
 
 Reproducibility contract
 ------------------------
-All randomness comes from counter-based Philox4x64-10 streams
-(numpy.random.Philox). Block c of a run keyed by RngSpec(seed, stream_id)
-uses Philox key = [seed, stream_id * 2^32 + c]. Identical (seed, stream_id)
-therefore give bitwise-identical histograms, independent of how blocks are
-distributed over workers; integer counts are summed, which is
-order-independent. Coincidence pairs are tallied within blocks; pairs that
-would straddle a block boundary are not counted, a deterministic O(window /
-(CHUNK_PULSES * rep_period)) ~ 1e-4 relative effect on side-peak areas.
+Block c of a run keyed by RngSpec(seed, stream_id) draws all its
+randomness from its own SFC64 stream (numpy.random.SFC64), seeded by
+numpy.random.SeedSequence(seed, spawn_key=(stream_id, c)): the key is
+hashed into the generator state, so distinct (seed, stream_id, block)
+keys give independent streams. Identical (seed, stream_id) therefore give
+bitwise-identical histograms, independent of how blocks are distributed
+over workers; integer counts are summed, which is order-independent.
+A block draws only the randomness its counts read: coin flips are single
+random bits, and a frequency difference is drawn for the pairs that meet
+on the beam splitter, not for every pulse. Coincidence pairs are tallied
+within blocks; pairs that would straddle a block boundary are not counted,
+a deterministic O(window / (CHUNK_PULSES * rep_period)) ~ 1e-4 relative
+effect on side-peak areas.
 Version 0.3.0 samples meeting-pair delays with a per-row thinning envelope
 and far-offset wings in log space, so for a given seed the remote,
 consecutive and double-pulse histograms (and sample_pair_events batches
 outside cross-polarized operation) differ from 0.2.x, with the same
 statistics; cross-polarized and HBT histograms are unchanged. Version 0.3.1
 only speeds the pipeline up: every histogram is bitwise that of 0.3.0.
+Version 0.4.0 replaces the Philox4x64-10 block streams with the SFC64
+streams above and draws coin flips as bits, so every mode's histogram,
+HBT included, and every sample_pair_events batch differ from 0.3.x for a
+given seed, with the same statistics.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ MODE_CROSS_POLARIZED = "cross-polarized-control"
 MODES = (MODE_CONSECUTIVE, MODE_DOUBLE_PULSE, MODE_REMOTE, MODE_CROSS_POLARIZED)
 
 CHUNK_PULSES = 1 << 16
-RNG_ALGORITHM = "philox4x64-10 (numpy.random.Philox), per-block key [seed, stream_id<<32 | block]"
+RNG_ALGORITHM = "sfc64 (numpy.random.SFC64), per-block SeedSequence(seed, spawn_key=(stream_id, block))"
 
 
 @dataclass(frozen=True)
@@ -187,8 +196,8 @@ class PairEventBatch:
 def _chunk_rng(rng: RngSpec, chunk_index: int) -> np.random.Generator:
     if not 0 <= chunk_index < 2 ** 32:
         raise ValueError(f"block index out of range: {chunk_index}")
-    key = np.array([rng.seed, (rng.stream_id << 32) | chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(rng.seed, spawn_key=(rng.stream_id, chunk_index))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _sample_g_wing(tau_r, a_abs, u):
@@ -322,18 +331,20 @@ def _sample_meeting_pairs(tau_r, dtau, delta, g):
     tau = _sample_tau(tau_r, dtau, delta, opposite, g)
     u_seg = g.random(n)
     u_exp = g.random(n)
-    u_side = g.random(n)
+    port_a = _coin(g, n)
     t0 = _sample_t0(tau_r, dtau, delta, tau, opposite, u_seg, u_exp)
-    port_a = (u_side < 0.5).astype(np.int8)
-    port_b = np.where(opposite, 1 - port_a, port_a).astype(np.int8)
-    return opposite, t0, t0 + tau, port_a, port_b
+    return opposite, t0, t0 + tau, port_a, port_a ^ opposite
 
 
 def _sample_independent(onsets, tau_r, g):
     """Detection times and ports for photons that do not interfere."""
     times = onsets + g.exponential(tau_r, onsets.size)
-    ports = (g.random(onsets.size) < 0.5).astype(np.int8)
-    return times, ports
+    return times, _coin(g, onsets.size)
+
+
+def _coin(g, n):
+    """n fair coin flips as int8 ports 0/1, one random bit each."""
+    return g.integers(0, 2, n, dtype=bool).view(np.int8)
 
 
 def _jitter(g, sigma, n):
@@ -366,22 +377,22 @@ def _route_pulse_pair(scenario, g, pulse_t):
     off = scenario.pair.delta_tau
     jA = _jitter(g, scenario.emission_jitter, n)
     jB = _jitter(g, scenario.emission_jitter, n)
-    rA = g.random(n) < 0.5  # True: long interferometer arm (+d + off)
-    rB = g.random(n) < 0.5
-    delta = _detuning(g, scenario.pair, n)
+    rA = g.integers(0, 2, n, dtype=bool)  # True: long interferometer arm (+d + off)
+    rB = g.integers(0, 2, n, dtype=bool)
     if scenario.mode == MODE_DOUBLE_PULSE:
         meet = rA & ~rB
         im, isolo = np.flatnonzero(meet), np.flatnonzero(~meet)
+        delta = _detuning(g, scenario.pair, im.size)
         ps, jAs, jBs, rAs, rBs = (a.take(isolo) for a in (pulse_t, jA, jB, rA, rB))
     else:  # crossed polarizations: every photon is solo
-        im = np.empty(0, np.intp)
+        im, delta = np.empty(0, np.intp), np.empty(0)
         ps, jAs, jBs, rAs, rBs = pulse_t, jA, jB, rA, rB
     jAm, jBm = jA.take(im), jB.take(im)
     mid = pulse_t.take(im) + d + (jAm + jBm + off) / 2.0
     # a route flag times (d + off) adds the long arm's extra delay or 0
     onsA = ps + jAs + rAs * (d + off)
     onsB = ps + d + jBs + rBs * (d + off)
-    return mid, off + jAm - jBm, delta.take(im), [onsA, onsB]
+    return mid, off + jAm - jBm, delta, [onsA, onsB]
 
 
 def _route_consecutive(scenario, g, pulse_t):
@@ -391,18 +402,18 @@ def _route_consecutive(scenario, g, pulse_t):
     T = scenario.rep_period
     off = scenario.pair.delta_tau
     j = _jitter(g, scenario.emission_jitter, n)
-    routes = g.random(n) < 0.5  # True: long arm (+rep_period + off)
-    delta = _detuning(g, scenario.pair, n)
+    routes = g.integers(0, 2, n, dtype=bool)  # True: long arm (+rep_period + off)
     meet = np.zeros(n, dtype=bool)
     meet[:-1] = routes[:-1] & ~routes[1:]
     solo = ~meet
     solo[1:] &= ~meet[:-1]
     k = np.flatnonzero(meet)
+    delta = _detuning(g, scenario.pair, k.size)
     isolo = np.flatnonzero(solo)
     jk, jk1 = j.take(k), j.take(k + 1)
     mid = pulse_t.take(k) + T + (jk + jk1 + off) / 2.0
     ons = pulse_t.take(isolo) + j.take(isolo) + routes.take(isolo) * (T + off)
-    return mid, off + jk - jk1, delta.take(k), [ons]
+    return mid, off + jk - jk1, delta, [ons]
 
 
 def _route_hbt(multi_photon_prob, scenario, g, pulse_t):
@@ -443,8 +454,9 @@ def sample_pair_events(scenario: InterferenceScenario, n: int,
     In cross-polarized operation the photons are fully distinguishable: ports
     are independent and the delay density is the no-interference one.
 
-    Passing an RngSpec uses its block-0 stream (the same stream a histogram
-    run would start from); pass a Generator to control the stream yourself.
+    Passing an RngSpec uses its block-0 stream, the SFC64 generator seeded
+    by SeedSequence(seed, spawn_key=(stream_id, 0)) that a histogram run
+    would start from; pass a Generator to control the stream yourself.
     """
     g = rng if isinstance(rng, np.random.Generator) else _chunk_rng(rng, 0)
     tr = scenario.pair.tau_r

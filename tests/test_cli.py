@@ -9,6 +9,7 @@ import pytest
 
 from homsim.cli import cmd_fit, cmd_simulate, cmd_sweep, main
 from homsim.model import PairSpec, visibility_inhom_quadrature
+from homsim.montecarlo import RNG_ALGORITHM
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "homsim" / "configs"
 
@@ -47,7 +48,7 @@ class TestSimulate:
             assert {"monte_carlo", "stat_error", "analytic", "discrepancy"} <= set(block)
             assert block["discrepancy"] == pytest.approx(
                 block["monte_carlo"] - block["analytic"], abs=1e-12)
-        assert s["provenance"]["rng_algorithm"].startswith("philox4x64-10")
+        assert s["provenance"]["rng_algorithm"] == RNG_ALGORITHM
         assert s["provenance"]["seed"] == 777
 
     def test_histogram_csv_format(self, tmp_path):
@@ -293,6 +294,21 @@ class TestFit:
         if proc.returncode == 2:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and "DLASCL" not in proc.stderr
+
+    def test_michelson_on_a_coherence_bound_not_converged(self, tmp_path):
+        # the contrast decays over 3e-7 ns, faster than the fit's smallest
+        # coherence time e^-12 ns, where both coherence times stop
+        data = tmp_path / "fast.csv"
+        u = np.linspace(0.0, 1.0, 20)
+        rows = ["delay_ns,fringe_contrast"] + [f"{1e-6 * a:.17g},{b:.17g}"
+                                               for a, b in zip(u, np.exp(-u / 0.3))]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "fit.json"
+        assert cmd_fit(data, "michelson", out) == 0
+        r = json.loads(out.read_text())
+        assert r["parameters"]["tau_c2"] == pytest.approx(np.exp(-12.0), rel=1e-12)
+        assert r["converged"] is False
+        assert "fit bound log tau_c = -12" in r["message"]
 
     def test_weighted_column_accepted(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -221,6 +221,17 @@ class TestFitMichelson:
         res = fit_michelson(np.column_stack([scale * u, y]))
         assert all(math.isfinite(v) for v in res.parameters.values())
 
+    @pytest.mark.parametrize("scale", [1e-6, 2e-5, 1e6])
+    def test_coherence_time_on_a_bound_is_not_converged(self, scale):
+        # the contrast decays faster (1e-6, 2e-5) or slower (1e6) than the
+        # bounds e^-12 and e^12 ns allow; at 2e-5 the shorter coherence
+        # time stops 1.4e-14 short of its bound, and was reported converged
+        u = np.linspace(0.0, 1.0, 20)
+        res = fit_michelson(np.column_stack([scale * u, np.exp(-u / 0.3)]))
+        assert not res.converged
+        bound = 12 if scale > 1 else -12
+        assert f"fit bound log tau_c = {bound}" in res.message
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_michelson([(0.0, 1.0), (0.1, 0.9)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -8,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import homsim
 from homsim.analysis import g2_indist_double_pulse, peak_areas
 from homsim.config import load_config
 from homsim.model import PairSpec, p_inhom, sigma_for_visibility, visibility_inhom_direct
@@ -54,10 +56,12 @@ def chi2_upper_quantile(dof, tail):
 
 class CountingGenerator:
     """A Generator that counts thinning proposal rounds (one exponential or
-    gamma draw per round) and fails past max_rounds instead of looping."""
+    gamma draw per round) and fails past max_rounds instead of looping, and
+    counts the normal variates drawn."""
 
     def __init__(self, g, max_rounds=100_000):
         self._g, self.rounds, self.max_rounds = g, 0, max_rounds
+        self.normal_calls = self.normals = 0
 
     def __getattr__(self, name):
         return getattr(self._g, name)
@@ -74,6 +78,12 @@ class CountingGenerator:
     def gamma(self, *args):
         self._round()
         return self._g.gamma(*args)
+
+    def normal(self, *args):
+        out = self._g.normal(*args)
+        self.normal_calls += 1
+        self.normals += out.size
+        return out
 
 
 def correlate_by_repeat(times, ports, halfspan, bin_width, nbins):
@@ -150,6 +160,38 @@ class TestDeterminism:
         h1 = simulate_histogram(scn, RngSpec(seed=44, stream_id=1), window_periods=4)
         assert not np.array_equal(h0.counts, h1.counts)
 
+    def test_block_stream_is_keyed_by_seed_stream_and_block(self):
+        def draws(seed, stream_id, block):
+            g = _chunk_rng(RngSpec(seed=seed, stream_id=stream_id), block)
+            assert isinstance(g.bit_generator, np.random.SFC64)
+            return np.concatenate([g.random(64), g.integers(0, 2, 64, dtype=bool)])
+
+        ref = draws(45, 3, 2)
+        assert np.array_equal(ref, draws(45, 3, 2))
+        for other in [(45, 3, 3), (45, 4, 2), (45, 2, 3), (46, 3, 2)]:
+            assert not np.array_equal(ref, draws(*other)), other
+
+    @pytest.mark.parametrize("mode", [MODE_CROSS_POLARIZED, MODE_CONSECUTIVE, MODE_DOUBLE_PULSE])
+    def test_block_draws_one_detuning_per_meeting_pair(self, mode):
+        # no emission or detector jitter, so every normal variate a block
+        # draws before the detector is a detuning
+        scn = InterferenceScenario(mode=mode, pair=PairSpec(tau_r=0.67, sigma_g=SIGMA_REMOTE),
+                                   rep_period=12.5, n_pulses=CHUNK_PULSES)
+        g = CountingGenerator(_chunk_rng(RngSpec(seed=46), 0))
+        meeting = []
+
+        def route(*args):
+            out = _ROUTES[mode](*args)
+            meeting.append(out[0].size)
+            return out
+
+        _mode_detections(route, scn, g, np.arange(CHUNK_PULSES) * scn.rep_period)
+        if mode == MODE_CROSS_POLARIZED:
+            assert meeting == [0] and g.normal_calls == 0
+        else:
+            assert 0 < meeting[0] < CHUNK_PULSES
+            assert g.normals == meeting[0]
+
     def test_rng_spec_validation(self):
         with pytest.raises(ValueError):
             RngSpec(seed=-1)
@@ -161,17 +203,18 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_SHA256 = {  # sha256 of the int64 counts' bytes; the 0.3.0 stream, kept by 0.3.1
-    (MODE_REMOTE, False): "e440562c6d6745a55cd8be83736c0fc0ee25d96ee2fe5cab6ca7c87985f45d62",
-    (MODE_REMOTE, True): "76f6d6b7320853a5c96719bbbe8272b98f189f0c4e2f2aa145afcd87e2d023f3",
-    (MODE_CONSECUTIVE, False): "ff295c41bac55188d8bd7cebd370470d1cc3f18cbe62dcc6c17ab272c7cbe60c",
-    (MODE_CONSECUTIVE, True): "19bb3d1254fd13e10e80efb9d5f593628609e7117a95b7af09afd3847cc71dc6",
-    (MODE_DOUBLE_PULSE, False): "1ce2faf6a29a10b196d531910fc992d8ff8eda4d516f6b3f2e4b8fa7f135d1a4",
-    (MODE_DOUBLE_PULSE, True): "c1c5eeb65a5064c06341a2ad437d3410c82dd1ea0eb6d07e394ba83f31787781",
-    (MODE_CROSS_POLARIZED, False): "e2a46dabb6c379bacb1180bf69a5568d725dde921a465c57fb4d38c15eafeba4",
-    (MODE_CROSS_POLARIZED, True): "a171d7b538d9ef521ca0ac05df36ec4d19214373d48c94d61d613cd77cf70c79",
-    ("hbt", False): "3b58c1a44e0fe54ce6ffacc1f988f1ebde27f991812d11a85cfcf0626110f873",
-    ("hbt", True): "221f93a764cd02cdf4a012934f6f35cc5fd8ae03f5b60d1e4ec971a878e82f0a",
+PINNED_VERSION = "0.4.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
+    (MODE_REMOTE, False): "98642e529a70d11e71c75dabe2e6ec8f844f459e470054c026c34c03ce3ba19c",
+    (MODE_REMOTE, True): "03a2d9c04ebb74c3fa906c0cd2839a4dc239df51cbf69649b542191babc14ecc",
+    (MODE_CONSECUTIVE, False): "c00611202ce0c03213cbc2f834ddb2b3f766cca6df8927157f836f73e3822a64",
+    (MODE_CONSECUTIVE, True): "b90ee720ee17381779bb5e3fb5680223d114727f2ec0ed623abc60c6d3d9d5be",
+    (MODE_DOUBLE_PULSE, False): "aca141381da6e1505355bf265abc588b9f3e32dad70e79ca047352adcd4b49e9",
+    (MODE_DOUBLE_PULSE, True): "6c4d12d73680349570482ed7b7f20af9cd05feee112cf4cfb8ae5259d5774ca7",
+    (MODE_CROSS_POLARIZED, False): "59843641c47eebe14ccbc78a8c299e8eeb1eb22233b0eb5517752f0c3e74e889",
+    (MODE_CROSS_POLARIZED, True): "504be786561c9c3c15f62fc1eefaaf9ace73e24011ca885dfd345c2dd5ae1360",
+    ("hbt", False): "b0a942fca4e443ca179a465a3d27d9103534cff9d4da2c2ac7ba4d9bac400779",
+    ("hbt", True): "5d1c9842dabf4a8ab7ed6b8f611b13a15f5ceb3bcdfba8fab5d78f9d8dffce97",
 }
 
 
@@ -188,6 +231,14 @@ def pinned_counts(mode, lossy):
 
 
 class TestPinnedHistograms:
+    def test_pinned_version_is_the_package_version(self):
+        """A re-pin sets PINNED_VERSION: re-pinning without a version bump
+        fails here, and so does a bump that leaves the pins alone."""
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        # a regex, because Python 3.10 has no tomllib
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
+        assert declared == homsim.__version__ == PINNED_VERSION
+
     @pytest.mark.parametrize("lossy", [False, True], ids=["own-detector", "lossy-detector"])
     @pytest.mark.parametrize("mode", list(PINNED_CONFIGS))
     def test_counts_hash_is_pinned(self, mode, lossy):
@@ -253,7 +304,10 @@ class TestPairEvents:
         assert float(np.sum(z ** 2)) < chi2_upper_quantile(edges.size - 1, 1e-4)
 
     def test_convergence_rate(self):
-        # empirical opposite-port density error shrinks like 1/sqrt(N)
+        # empirical opposite-port density error shrinks like 1/sqrt(N). The
+        # largest bin error at one seed is too noisy to gate on (a correct
+        # sampler fails the ratio on about one seed in ten), so the gate
+        # reads the median over seeds 12-18 of each size's error.
         scn = remote_scenario()
         pair = scn.pair
         edges = np.linspace(-4 * pair.tau_r, 4 * pair.tau_r, 41)
@@ -261,15 +315,17 @@ class TestPairEvents:
         mass = (1.0 - visibility_inhom_direct(pair.tau_r, pair.sigma_g)) / 2.0
         dens = p_inhom(centers, pair) / mass
         errs = []
-        for n in (10_000, 100_000, 1_000_000):
-            batch = sample_pair_events(scn, n, RngSpec(seed=12))
-            taus = batch.tau[batch.opposite_port]
-            # normalized over all delays, like dens; density=True would
-            # renormalize to the 97% of the mass inside +-4 tau_r
-            hist = np.histogram(taus, bins=edges)[0] / (taus.size * np.diff(edges))
-            errs.append(float(np.max(np.abs(hist - dens))))
-        assert errs[2] < errs[1] < errs[0]
-        assert errs[0] / errs[2] > 4.0
+        for seed in range(12, 19):
+            for n in (10_000, 100_000, 1_000_000):
+                batch = sample_pair_events(scn, n, RngSpec(seed=seed))
+                taus = batch.tau[batch.opposite_port]
+                # normalized over all delays, like dens; density=True would
+                # renormalize to the 97% of the mass inside +-4 tau_r
+                hist = np.histogram(taus, bins=edges)[0] / (taus.size * np.diff(edges))
+                errs.append(float(np.max(np.abs(hist - dens))))
+        med = np.median(np.reshape(errs, (-1, 3)), axis=0)
+        assert med[2] < med[1] < med[0]
+        assert med[0] / med[2] > 4.0
 
 
 class TestPairSampler:
