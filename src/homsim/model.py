@@ -1,9 +1,10 @@
 """Analytic two-photon interference model for pulsed two-level emitters.
 
 Covers the homogeneous-dephasing correlation function of the central
-coincidence peak, one-sided exponential photon wavepackets, the ensemble
-average over Gaussian shot-to-shot frequency jitter of the emission line, and
-the visibility formulas derived from both pictures.
+coincidence peak, its ensemble average over Gaussian shot-to-shot frequency
+jitter of the emission line, and the visibility formulas derived from both
+pictures. Every quantity here is a closed form; the quadrature versions they
+are checked against are test code, not part of the package.
 
 Conventions used throughout:
 
@@ -23,27 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import QuadratureSpec, _scaled_erfcx, erfcx, integrate_1d
+from .specfun import _scaled_erfcx, erfcx
 
 __all__ = [
     "HBAR_UEV_NS",
     "EmitterParams",
-    "PhotonWavePacket",
     "PairSpec",
-    "DegenerateJitterError",
     "coherence_time",
     "dephasing_time",
     "g2_hom_peak",
     "central_peak_area_hom",
     "visibility_hom",
-    "wavepacket_amplitude",
-    "g2_tl",
-    "delta_distribution",
     "p_inhom",
-    "p_inhom_quadrature",
-    "visibility_inhom_closed",
     "visibility_inhom_direct",
-    "visibility_inhom_quadrature",
     "sigma_from_coherence",
     "sigma_for_visibility",
     "coherence_integral",
@@ -57,11 +50,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # hbar in microelectronvolt-nanoseconds: converts energy detunings in ueV to
 # angular frequencies in rad/ns (omega = E / hbar).
 HBAR_UEV_NS = 0.6582119569
-
-
-class DegenerateJitterError(ValueError):
-    """Signals that sigma_g = 0 has no frequency distribution to sample;
-    callers must take the Fourier-limited path instead."""
 
 
 @dataclass(frozen=True)
@@ -96,34 +84,6 @@ class EmitterParams:
                              f"got {self.fss_weights}")
         if self.fss_tau_c is not None and not all(t > 0 and math.isfinite(t) for t in self.fss_tau_c):
             raise ValueError(f"fss_tau_c entries must be finite and > 0, got {self.fss_tau_c}")
-
-
-@dataclass(frozen=True)
-class PhotonWavePacket:
-    """One-sided exponential wavepacket of a single photon.
-
-    The amplitude rises instantaneously at `time_offset` and decays with the
-    radiative lifetime; the carrier oscillates at omega + frequency_offset.
-    """
-
-    tau_r: float
-    omega: float = 0.0
-    frequency_offset: float = 0.0
-    time_offset: float = 0.0
-
-    def __post_init__(self):
-        if not self.tau_r > 0:
-            raise ValueError(f"tau_r must be > 0, got {self.tau_r}")
-
-    @classmethod
-    def pair(cls, tau_r, delta, delta_tau, omega=0.0):
-        """The two members of an interfering pair: the first carries frequency
-        offset -delta/2 and onset +delta_tau/2, the second the opposites."""
-        first = cls(tau_r=tau_r, omega=omega, frequency_offset=-delta / 2,
-                    time_offset=+delta_tau / 2)
-        second = cls(tau_r=tau_r, omega=omega, frequency_offset=+delta / 2,
-                     time_offset=-delta_tau / 2)
-        return first, second
 
 
 @dataclass(frozen=True)
@@ -221,58 +181,6 @@ def visibility_hom(tau_r: float, tau_c: float) -> float:
     return tau_c / (2.0 * tau_r)
 
 
-def wavepacket_amplitude(packet: PhotonWavePacket, t):
-    """Complex amplitude of the wavepacket at time(s) t: zero before the
-    onset, then sqrt(1/tau_r) * exp(-(t - onset)/(2 tau_r)) with carrier
-    exp(-i (omega + frequency_offset) t).
-
-    The sqrt(1/tau_r) prefactor normalizes the time-integral of the squared
-    magnitude to exactly 1 (a detection-probability density).
-    """
-    t = np.asarray(t, dtype=float)
-    rel = t - packet.time_offset
-    env = np.where(rel > 0, np.exp(-rel / (2.0 * packet.tau_r)), 0.0) / math.sqrt(packet.tau_r)
-    out = env * np.exp(-1j * (packet.omega + packet.frequency_offset) * t)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def _g2_tl_raw(t0, tau, tau_r, delta_tau, delta):
-    """|xi1(t0) xi2(t0+tau) - xi2(t0) xi1(t0+tau)|^2 / 4 with the two
-    unit-norm one-sided exponential packets; broadcasts over all arguments.
-    The common carrier omega cancels; only the frequency difference enters."""
-    p1, p2 = PhotonWavePacket.pair(tau_r, np.asarray(delta, dtype=float), delta_tau)
-    t1 = np.asarray(t0, dtype=float) + np.asarray(tau, dtype=float)
-    xi = wavepacket_amplitude
-    return np.abs(xi(p1, t0) * xi(p2, t1) - xi(p2, t0) * xi(p1, t1)) ** 2 / 4.0
-
-
-def g2_tl(t0, tau, pair: PairSpec, delta: float):
-    """Two-time correlation of two Fourier-limited packets with frequency
-    difference delta and arrival offset pair.delta_tau (an antisymmetrized
-    product of the two wavepackets, so it vanishes at tau = 0 and for
-    identical packets)."""
-    out = _g2_tl_raw(t0, tau, pair.tau_r, pair.delta_tau, delta)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def delta_distribution(delta, pair: PairSpec):
-    """Probability density of the pair frequency difference:
-    f(D) = exp(-(D - delta0)^2/(4 sigma_g^2)) / (2 sqrt(pi) sigma_g),
-    a normalized Gaussian with variance 2 sigma_g^2."""
-    if pair.sigma_g == 0:
-        raise DegenerateJitterError(
-            "sigma_g = 0 has no frequency spread; use the Fourier-limited path with delta = delta0")
-    delta = np.asarray(delta, dtype=float)
-    out = np.exp(-((delta - pair.delta0) ** 2) / (4.0 * pair.sigma_g ** 2)) / (2.0 * _SQRT_PI * pair.sigma_g)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def p_inhom(tau, pair: PairSpec):
     """Opposite-port coincidence density at delay tau for jitter-averaged
     pairs (closed form):
@@ -294,68 +202,6 @@ def p_inhom(tau, pair: PairSpec):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _t0_support_bounds(tau, delta_tau):
-    """Onset structure of the antisymmetrized kernel at fixed tau: below
-    `lo` everything vanishes; between `lo` and `hi` only one product is
-    alive (a kink in t0)."""
-    o1, o2 = delta_tau / 2.0, -delta_tau / 2.0
-    a = max(o1, o2 - tau)
-    b = max(o2, o1 - tau)
-    return min(a, b), max(a, b)
-
-
-def p_inhom_quadrature(tau: float, pair: PairSpec, spec: QuadratureSpec | None = None) -> float:
-    """Brute-force oracle for p_inhom: the frequency average is done by
-    quadrature over the Gaussian difference distribution, and the time
-    average by quadrature over the first detection time, both built directly
-    on the wavepacket amplitudes."""
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=4000)
-    tau = float(tau)
-    tr = pair.tau_r
-    lo, hi = _t0_support_bounds(tau, pair.delta_tau)
-    upper = hi + 30.0 * tr  # exp(-2*30) envelope, far below any tolerance
-
-    if pair.sigma_g == 0.0:
-        def integrand(t0):
-            return _g2_tl_raw(t0, tau, tr, pair.delta_tau, pair.delta0)
-    else:
-        half_span = 9.0 * math.sqrt(2.0) * pair.sigma_g
-        d_lo, d_hi = pair.delta0 - half_span, pair.delta0 + half_span
-        f = lambda d: delta_distribution(d, pair)
-
-        def inner(t0_scalar):
-            g = lambda d: f(d) * _g2_tl_raw(t0_scalar, tau, tr, pair.delta_tau, d)
-            return integrate_1d(g, d_lo, d_hi, spec)
-
-        def integrand(t0):
-            t0 = np.atleast_1d(t0)
-            return np.array([inner(t) for t in t0])
-
-    total = 0.0
-    # Split at the kink where the second product switches on.
-    if hi - lo > 1e-15:
-        total += integrate_1d(integrand, lo, hi, spec)
-    total += integrate_1d(integrand, hi, upper, spec)
-    return total
-
-
-def visibility_inhom_closed(tau_r: float, sigma_g: float) -> float:
-    """Closed-form remote-pair visibility in the published convention:
-
-        1 - (1/(tau_r sigma_g)) * (2 tau_r sigma_g - sqrt(pi) erfcx(x)),
-        x = 1/(2 tau_r sigma_g).
-
-    This expression algebraically equals 2*V - 1 where V is the directly
-    normalized visibility (see visibility_inhom_direct); the quadrature
-    normalization is the authoritative one where they disagree.
-    """
-    if not (tau_r > 0 and sigma_g > 0):
-        raise ValueError(f"tau_r and sigma_g must be > 0, got {tau_r}, {sigma_g}")
-    x = 1.0 / (2.0 * tau_r * sigma_g)
-    return 1.0 - (1.0 / (tau_r * sigma_g)) * (2.0 * tau_r * sigma_g - _SQRT_PI * erfcx(x))
 
 
 def visibility_inhom_direct(tau_r: float, sigma_g: float, delta0: float = 0.0) -> float:
@@ -385,29 +231,6 @@ def visibility_inhom_direct(tau_r: float, sigma_g: float, delta0: float = 0.0) -
     return _scaled_erfcx(complex(1.0, -a), s).real
 
 
-def visibility_inhom_quadrature(pair: PairSpec, spec: QuadratureSpec | None = None) -> float:
-    """Remote-pair visibility 1 - 2 * integral of p_inhom(tau) d tau, with the
-    side-peak normalization that puts fully distinguishable photons at 0.5.
-    Supports nonzero delta0; requires delta_tau = 0.
-
-    A test oracle for visibility_inhom_direct, which the program uses. Its
-    accuracy is limited by the oscillating cos(delta0 tau) factor at large
-    tau_r * delta0: against an mpmath frequency-domain oracle on 1,501 random
-    points (tau_r 0.2-2 ns, sigma_g 0.01-3 rad/ns, |delta0| <= 150 rad/ns)
-    its worst error was 3.4e-8, at tau_r 1.835 ns, sigma_g 0.025 rad/ns,
-    delta0 59.2 rad/ns, where the closed form is off by 1e-20."""
-    if pair.delta_tau != 0.0:
-        raise ValueError("the standard visibility definition requires delta_tau = 0")
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=8000)
-    tr = pair.tau_r
-    span = 45.0 * tr
-    f = lambda t: p_inhom(t, pair)
-    # kink at tau = 0; oscillatory factor handled adaptively
-    area = integrate_1d(f, -span, 0.0, spec) + integrate_1d(f, 0.0, span, spec)
-    return 1.0 - 2.0 * area
-
-
 def coherence_integral(tau_r: float, sigma: float) -> float:
     """Operational coherence time of a lifetime-limited line with Gaussian
     frequency jitter: integral of |g1|^2 with
@@ -416,7 +239,7 @@ def coherence_integral(tau_r: float, sigma: float) -> float:
     sigma -> 0.
 
     With sigma = sigma_g this is the same integral as the remote-pair
-    visibility: visibility_inhom_quadrature at (tau_r, sigma_g) equals
+    visibility: visibility_inhom_direct(tau_r, sigma_g) equals
     coherence_integral(tau_r, sigma_g) / (2 tau_r) for identical emitters
     (delta0 = 0, delta_tau = 0)."""
     if not tau_r > 0:
@@ -459,15 +282,11 @@ def sigma_from_coherence(tau_r: float, tau_c_target: float) -> float:
     Because V(sigma) = coherence_integral(tau_r, sigma) / (2 tau_r), the
     remote-pair visibility at the returned sigma is exactly
     tau_c_target / (2 tau_r), i.e. visibility_hom(tau_r, tau_c_target)."""
-    if not tau_r > 0:
-        raise ValueError(f"tau_r must be > 0, got {tau_r}")
     if not 0 < tau_c_target < 2 * tau_r:
         raise ValueError(
             f"tau_c_target must lie in (0, 2*tau_r): got {tau_c_target} with tau_r={tau_r} "
             "(at or above the Fourier limit no jitter is needed)")
-    # coherence_integral = 2*tau_r * sqrt(pi)*x*erfcx(x) at x = 1/(2 sigma tau_r)
-    x = _solve_scaled_overlap(tau_c_target / (2.0 * tau_r))
-    return 1.0 / (2.0 * x * tau_r)
+    return sigma_for_visibility(tau_r, tau_c_target / (2.0 * tau_r))
 
 
 def sigma_for_visibility(tau_r: float, visibility: float) -> float:

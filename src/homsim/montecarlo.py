@@ -30,16 +30,6 @@ on the beam splitter, not for every pulse. Coincidence pairs are tallied
 within blocks; pairs that would straddle a block boundary are not counted,
 a deterministic O(window / (CHUNK_PULSES * rep_period)) ~ 1e-4 relative
 effect on side-peak areas.
-Version 0.3.0 samples meeting-pair delays with a per-row thinning envelope
-and far-offset wings in log space, so for a given seed the remote,
-consecutive and double-pulse histograms (and sample_pair_events batches
-outside cross-polarized operation) differ from 0.2.x, with the same
-statistics; cross-polarized and HBT histograms are unchanged. Version 0.3.1
-only speeds the pipeline up: every histogram is bitwise that of 0.3.0.
-Version 0.4.0 replaces the Philox4x64-10 block streams with the SFC64
-streams above and draws coin flips as bits, so every mode's histogram,
-HBT included, and every sample_pair_events batch differ from 0.3.x for a
-given seed, with the same statistics.
 """
 
 from __future__ import annotations

@@ -1,25 +1,20 @@
-"""Special functions and adaptive quadrature used by the interference model.
+"""Special functions used by the interference model.
 
 Everything here is generic numerics with no photon physics: the scaled
 complementary error function exp(z^2)*erfc(z), for real x >= 0 and for
-complex z with Re z >= 0 (it stays finite where the plain product
-overflows), and a global-adaptive Gauss-Kronrod integrator whose integrands
-are evaluated on node arrays.
+complex z with Re z >= 0. It stays finite where the plain product
+overflows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
-    "QuadratureError",
     "erfcx",
     "erfcx_complex",
-    "integrate_1d",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -48,36 +43,6 @@ def _weideman_coefficients(n):
 
 
 _WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be a positive finite real, got {self.abs_tol}")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be a positive finite real, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement exhausts its subdivision budget.
-
-    Carries the best available estimate and its error bound so callers can
-    decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message, best_estimate, error_estimate):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
 
 
 def erfcx(x: float) -> float:
@@ -154,112 +119,3 @@ def _scaled_erfcx(w: complex, s: float) -> complex:
     if s < 1.0 and abs(w) >= _ERFCX_COMPLEX_CF_RADIUS * s:
         return 1.0 / _laplace_cf(w, s * s)
     return _SQRT_PI / s * erfcx_complex(w / s)
-
-
-# 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
-_KRONROD_NODES = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-# Gauss weights sit on the odd Kronrod nodes.
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-
-
-def _panel(f, a, b):
-    """One G7/K15 evaluation on [a, b]: returns (integral, error_estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _KRONROD_NODES), dtype=float)
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, fx))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, fx[1::2]))
-    err = (200.0 * abs(k15 - g7)) ** 1.5 if k15 != g7 else 0.0
-    # The classic heuristic can underestimate on hard panels; never report
-    # less than the raw G-K difference.
-    return k15, max(err, abs(k15 - g7) * 1e-3)
-
-
-def integrate_1d(f, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
-    """Adaptive quadrature of f over the finite interval [a, b].
-
-    f must accept a 1-d numpy array of nodes and return the integrand values;
-    semi-infinite integrals are handled by the caller truncating at a bound
-    derived from the integrand's envelope. The worst panel (largest error
-    estimate) is bisected until the summed error falls below
-    max(abs_tol, rel_tol*|result|).
-
-    Raises
-    ------
-    QuadratureError
-        If the tolerance is not met within spec.max_subdivisions panel
-        splits. The exception carries the best estimate.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise ValueError(f"integration requires a < b, got [{a}, {b}]")
-
-    value, err = _panel(f, a, b)
-    panels = [(err, a, b, value)]
-    splits = 0
-    while True:
-        total = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total
-        if splits >= spec.max_subdivisions:
-            raise QuadratureError(
-                f"quadrature did not converge within {spec.max_subdivisions} subdivisions "
-                f"(estimate {total!r}, error {total_err:.3e})",
-                best_estimate=total,
-                error_estimate=total_err,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, lo, hi, _ = panels.pop(worst)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        panels.append((e1, lo, mid, v1))
-        panels.append((e2, mid, hi, v2))
-        splits += 1

@@ -20,13 +20,10 @@ from homsim.model import (
     g2_hom_peak,
     michelson_contrast,
     p_inhom,
-    p_inhom_quadrature,
     sigma_for_visibility,
     sigma_from_coherence,
     visibility_hom,
-    visibility_inhom_closed,
     visibility_inhom_direct,
-    visibility_inhom_quadrature,
 )
 from homsim.montecarlo import (
     InterferenceScenario,
@@ -37,7 +34,13 @@ from homsim.montecarlo import (
     simulate_hbt_purity,
     simulate_histogram,
 )
-from homsim.specfun import QuadratureSpec, integrate_1d
+from oracles_quadrature import (
+    QuadratureSpec,
+    integrate_1d,
+    p_inhom_quadrature,
+    visibility_inhom_closed,
+    visibility_inhom_quadrature,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "homsim" / "configs"
 
@@ -151,26 +154,32 @@ class TestCriterion4ConventionAudit:
         # frequency-domain oracle. (2) The published model value. At the
         # bundled remote-QD operating point the visibility lies in the
         # [0.33, 0.40] bracket around the reported ~40%; the coherence time
-        # that point implies is reported alongside.
+        # that point implies is reported alongside. Both halves are checked on
+        # the quadrature oracle and on the closed form the program runs.
         sg_bridge = sigma_from_coherence(TAU_R, TAU_C)
         quad = visibility_inhom_quadrature(PairSpec(tau_r=TAU_R, sigma_g=sg_bridge))
+        direct = visibility_inhom_direct(TAU_R, sg_bridge)
         oracle = visibility_frequency_oracle(TAU_R, sg_bridge)
         identity = coherence_integral(TAU_R, sg_bridge) / (2 * TAU_R)
         expected = {"frequency-domain oracle": oracle,
                     "visibility_hom": visibility_hom(TAU_R, TAU_C),
                     "coherence_integral/(2 tau_r)": identity}
         bridge_ok = all(abs(quad - v) <= 1e-9 for v in expected.values())
+        bridge_ok = bridge_ok and abs(direct - oracle) <= 1e-9
 
         cfg = json.loads((CONFIG_DIR / "remote-qd.json").read_text(encoding="utf-8"))
         tau_r, sg = cfg["tau_r_ns"], cfg["sigma_g_rad_per_ns"]
         v_op = visibility_inhom_quadrature(PairSpec(tau_r=tau_r, sigma_g=sg))
+        v_op_direct = visibility_inhom_direct(tau_r, sg)
         tau_c_op = coherence_integral(tau_r, sg)
         in_bracket = 0.33 <= v_op <= 0.40
+        direct_in_bracket = 0.33 <= v_op_direct <= 0.40
         report("criterion 4b coherence bridge and remote-QD visibility bracket",
-               bridge_ok and in_bracket,
+               bridge_ok and in_bracket and direct_in_bracket,
                f"sigma_bridge = {sg_bridge:.6f} rad/ns -> quadrature V = {quad:.12f}, "
-               f"oracle {oracle:.12f}; remote-qd.json sigma_g = {sg:.6f} rad/ns -> "
-               f"V = {v_op:.6f} in [0.33, 0.40]: {in_bracket}, implied operational "
+               f"direct V = {direct:.12f}, oracle {oracle:.12f}; remote-qd.json "
+               f"sigma_g = {sg:.6f} rad/ns -> V = {v_op:.6f} (direct {v_op_direct:.6f}) "
+               f"in [0.33, 0.40]: {in_bracket and direct_in_bracket}, implied operational "
                f"coherence time {tau_c_op:.6f} ns")
         assert abs(quad - identity) < 1e-9  # V(sigma) == coherence_integral/(2 tau_r)
         for name, v in expected.items():
@@ -178,6 +187,13 @@ class TestCriterion4ConventionAudit:
         assert in_bracket, (
             f"visibility_inhom_quadrature at the remote-qd.json operating point "
             f"(tau_r = {tau_r} ns, sigma_g = {sg} rad/ns) = {v_op:.6f}, outside [0.33, 0.40]")
+        assert abs(direct - oracle) <= 1e-9, (
+            f"bridge visibility_inhom_direct = {direct:.15f} != frequency-domain oracle "
+            f"= {oracle:.15f}")
+        assert direct_in_bracket, (
+            f"visibility_inhom_direct at the remote-qd.json operating point "
+            f"(tau_r = {tau_r} ns, sigma_g = {sg} rad/ns) = {v_op_direct:.6f}, "
+            f"outside [0.33, 0.40]")
 
 
 class TestCriterion5MonteCarloConvergence:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from homsim.cli import cmd_fit, cmd_simulate, cmd_sweep, main
-from homsim.model import PairSpec, visibility_inhom_quadrature
+from homsim.model import PairSpec
 from homsim.montecarlo import RNG_ALGORITHM
+from oracles_quadrature import visibility_inhom_quadrature
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "homsim" / "configs"
 

@@ -5,31 +5,35 @@ import numpy as np
 import pytest
 
 from homsim.model import (
-    DegenerateJitterError,
     EmitterParams,
     PairSpec,
-    PhotonWavePacket,
     central_peak_area_hom,
     coherence_integral,
     coherence_time,
-    delta_distribution,
     dephasing_time,
     g2_hom_peak,
-    g2_tl,
     michelson_contrast,
     p_inhom,
-    p_inhom_quadrature,
     sigma_for_visibility,
     sigma_from_coherence,
     time_jitter_overlap_factor,
     visibility_from_g2,
     visibility_hom,
-    visibility_inhom_closed,
     visibility_inhom_direct,
+)
+from homsim.specfun import erfcx
+from oracles_quadrature import (
+    DegenerateJitterError,
+    PhotonWavePacket,
+    QuadratureSpec,
+    delta_distribution,
+    g2_tl,
+    integrate_1d,
+    p_inhom_quadrature,
+    visibility_inhom_closed,
     visibility_inhom_quadrature,
     wavepacket_amplitude,
 )
-from homsim.specfun import QuadratureSpec, erfcx, integrate_1d
 
 
 class TestCoherenceTime:

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from homsim.specfun import QuadratureError, QuadratureSpec, erfcx, erfcx_complex, integrate_1d
+from homsim.specfun import erfcx, erfcx_complex
+from oracles_quadrature import QuadratureError, QuadratureSpec, integrate_1d
 
 
 def erfc_series_reference(x, dps=50):
