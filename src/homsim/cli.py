@@ -32,6 +32,7 @@ from .montecarlo import (
     RngSpec,
     analytic_g2_indist,
     analytic_visibility,
+    analytic_visibility_at,
     simulate_histogram,
 )
 
@@ -164,26 +165,35 @@ def cmd_simulate(config_path, out_dir, seed=None) -> int:
     return 0
 
 
-def _axis_scenario(cfg: ScenarioConfig, axis, value):
-    s = cfg.scenario
+def _axis_pairs(cfg: ScenarioConfig, axis, values):
+    """Arrays of the pair's arrival offset, mean detuning and jitter scale
+    (delta_tau, delta0, sigma_g) at each sweep value, the two the axis does
+    not set held at the config's values. A value that is not finite, or
+    maps to one, is a ConfigError."""
+    pair = cfg.scenario.pair
+    delta_tau, delta0, sigma_g = (np.full(values.shape, v)
+                                  for v in (pair.delta_tau, pair.delta0, pair.sigma_g))
     if axis == "delta_t":
-        pair = dataclasses.replace(s.pair, delta_tau=float(value))
+        delta_tau = values
     elif axis == "detuning":
-        pair = dataclasses.replace(s.pair, delta0=float(value))
+        delta0 = values
     elif axis == "sigma_g":
-        if value < 0:
-            raise ConfigError(f"sigma_g sweep value must be >= 0, got {value}")
-        pair = dataclasses.replace(s.pair, sigma_g=float(value))
-    elif axis == "temperature-proxy":
+        sigma_g = values
+        negative = values < 0
+        if negative.any():
+            raise ConfigError(f"sigma_g sweep value must be >= 0, got {float(values[negative][0])}")
+    else:  # temperature-proxy
         if cfg.temperature_slope_uev_per_k is None or cfg.temperature_ref_k is None:
             raise ConfigError(
                 "temperature-proxy sweeps require sweep.temperature_slope_uev_per_K and "
                 "sweep.temperature_ref_K in the config")
-        delta0 = (float(value) - cfg.temperature_ref_k) * cfg.temperature_slope_uev_per_k / HBAR_UEV_NS
-        pair = dataclasses.replace(s.pair, delta0=delta0)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-    return dataclasses.replace(s, pair=pair)
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta0 = (values - cfg.temperature_ref_k) * cfg.temperature_slope_uev_per_k / HBAR_UEV_NS
+    bad = ~(np.isfinite(delta_tau) & np.isfinite(delta0) & np.isfinite(sigma_g))
+    if bad.any():
+        raise ConfigError(f"{axis} sweep value {float(values[bad][0])} is not finite "
+                          "or maps outside the float range")
+    return delta_tau, delta0, sigma_g
 
 
 def _parse_range(text):
@@ -205,38 +215,41 @@ def cmd_sweep(config_path, axis, sweep_range, out_dir) -> int:
     (axis_value, visibility, g2_indist, stat_error).
 
     With model_overrides.analytic_only the model prediction is evaluated
-    directly (stat_error 0); otherwise each point is simulated with an
-    independent RNG stream (stream_id + point index)."""
+    for the whole axis in one array pass (stat_error 0); otherwise each
+    point is simulated with an independent RNG stream (stream_id + point
+    index)."""
     log = _RunLog()
     try:
         cfg = load_config(config_path)
         if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
         start, stop, steps = sweep_range if isinstance(sweep_range, tuple) else _parse_range(sweep_range)
-        values = np.linspace(start, stop, steps)
-        rows = []
-        for i, v in enumerate(values):
-            scn = _axis_scenario(cfg, axis, float(v))
-            if cfg.analytic_only:
-                vis = analytic_visibility(scn)
-                g2 = 0.5 * (1.0 - vis)
-                err = 0.0
-            else:
-                point_cfg = dataclasses.replace(cfg, scenario=scn)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(start, stop, steps)
+        delta_tau, delta0, sigma_g = _axis_pairs(cfg, axis, values)
+        if cfg.analytic_only:
+            vis = analytic_visibility_at(cfg.scenario, delta_tau, delta0, sigma_g)
+            rows = zip(values.tolist(), vis.tolist(), (0.5 * (1.0 - vis)).tolist(),
+                       [0.0] * steps)
+            log.stage("evaluated", points=steps)
+        else:
+            rows = []
+            points = zip(values.tolist(), delta_tau.tolist(), delta0.tolist(), sigma_g.tolist())
+            for i, (v, dt, d0, sg) in enumerate(points):
+                pair = dataclasses.replace(cfg.scenario.pair, delta_tau=dt, delta0=d0, sigma_g=sg)
+                point_cfg = dataclasses.replace(
+                    cfg, scenario=dataclasses.replace(cfg.scenario, pair=pair))
                 rng = dataclasses.replace(cfg.rng, stream_id=cfg.rng.stream_id + i)
                 _, report = _measure_histogram(point_cfg, rng)
-                g2 = report.g2_indist
-                err = report.g2_indist_err
-                vis = 1.0 - 2.0 * g2
-            rows.append((float(v), vis, g2, err))
-            log.stage("point", axis_value=float(v), g2=round(g2, 6))
+                g2 = float(report.g2_indist)
+                rows.append((v, 1.0 - 2.0 * g2, g2, float(report.g2_indist_err)))
+                log.stage("point", axis_value=v, g2=round(g2, 6))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     lines = ["axis_value,visibility,g2_indist,stat_error"]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [f"{v!r},{vis!r},{g2!r},{err!r}" for v, vis, g2, err in rows]
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

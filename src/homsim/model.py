@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _scaled_erfcx, erfcx
+from .specfun import _erfcx_array, _scaled_erfcx, erfcx
 
 __all__ = [
     "HBAR_UEV_NS",
@@ -204,7 +204,7 @@ def p_inhom(tau, pair: PairSpec):
     return out
 
 
-def visibility_inhom_direct(tau_r: float, sigma_g: float, delta0: float = 0.0) -> float:
+def visibility_inhom_direct(tau_r: float, sigma_g, delta0=0.0):
     """Directly normalized remote-pair visibility at mean detuning delta0 and
     zero arrival offset, in closed form:
 
@@ -220,15 +220,29 @@ def visibility_inhom_direct(tau_r: float, sigma_g: float, delta0: float = 0.0) -
     in which fully distinguishable photons give V = 0 and g2 = 0.5. The
     product x * erfcx is formed without overflow, so V stays finite and
     accurate down to sigma_g = 5e-324.
+
+    Elementwise over sigma_g and delta0, scalars or arrays that broadcast
+    together: scalar input gives a float, array input a float array. A
+    single sigma_g that is not finite and > 0, or delta0 that is not
+    finite, raises ValueError.
     """
-    if not (tau_r > 0 and sigma_g > 0 and math.isfinite(tau_r) and math.isfinite(sigma_g)):
-        raise ValueError(f"tau_r and sigma_g must be finite and > 0, got {tau_r}, {sigma_g}")
-    if not math.isfinite(delta0):
-        raise ValueError(f"delta0 must be finite, got {delta0}")
-    a, s = tau_r * delta0, 2.0 * tau_r * sigma_g
-    if math.isinf(a) or math.isinf(s):
-        return 0.0  # V < 1e-300 once either product leaves the float range
-    return _scaled_erfcx(complex(1.0, -a), s).real
+    if not (tau_r > 0 and math.isfinite(tau_r)):
+        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
+    sigma_g, delta0 = np.broadcast_arrays(np.asarray(sigma_g, dtype=float),
+                                          np.asarray(delta0, dtype=float))
+    bad = ~((sigma_g > 0) & np.isfinite(sigma_g))
+    if bad.any():
+        raise ValueError(f"sigma_g must be finite and > 0, got {sigma_g[bad][0]}")
+    bad = ~np.isfinite(delta0)
+    if bad.any():
+        raise ValueError(f"delta0 must be finite, got {delta0[bad][0]}")
+    with np.errstate(over="ignore"):
+        a, s = tau_r * delta0, 2.0 * tau_r * sigma_g
+    # V < 1e-300 once either product leaves the float range
+    out = np.zeros(a.shape)
+    inside = np.isfinite(a) & np.isfinite(s)
+    out[inside] = _scaled_erfcx(1.0 - 1j * a[inside], s[inside]).real
+    return float(out) if out.ndim == 0 else out
 
 
 def coherence_integral(tau_r: float, sigma: float) -> float:
@@ -339,26 +353,36 @@ def visibility_from_g2(g2_indist: float) -> float:
     return 1.0 - 2.0 * g2_indist
 
 
-def time_jitter_overlap_factor(tau_r: float, delta_tau: float, jitter_sigma: float) -> float:
+def time_jitter_overlap_factor(tau_r: float, delta_tau, jitter_sigma: float):
     """Mean wavepacket-overlap suppression E[exp(-|X|/tau_r)] where
     X ~ Normal(delta_tau, 2*jitter_sigma^2) is the arrival-time offset with
-    independent per-photon emission jitter. Stable closed form via erfcx."""
+    independent per-photon emission jitter. Stable closed form via erfcx.
+
+    Elementwise over delta_tau: a scalar gives a float, an array a float
+    array. A single delta_tau that is not finite raises ValueError.
+    """
     if not tau_r > 0:
         raise ValueError(f"tau_r must be > 0, got {tau_r}")
     if jitter_sigma < 0:
         raise ValueError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
+    mu = np.abs(np.asarray(delta_tau, dtype=float))  # the factor is even in the offset
+    bad = ~np.isfinite(mu)
+    if bad.any():
+        raise ValueError(f"delta_tau must be finite, got {mu[bad][0]}")
     if jitter_sigma == 0.0:
-        return math.exp(-abs(delta_tau) / tau_r)
+        out = np.exp(-mu / tau_r)
+        return float(out) if out.ndim == 0 else out
     s = math.sqrt(2.0) * jitter_sigma
-    mu = abs(delta_tau)  # the factor is even in the offset
-    zp = s / (math.sqrt(2.0) * tau_r) + mu / (math.sqrt(2.0) * s)
-    zm = s / (math.sqrt(2.0) * tau_r) - mu / (math.sqrt(2.0) * s)
-    log_pref = -mu ** 2 / (2.0 * s ** 2)
-    term_p = math.exp(log_pref) * erfcx(zp)
-    if zm >= 0.0:
-        term_m = math.exp(log_pref) * erfcx(zm)
-    else:
-        # exp(log_pref + zm^2) * erfc(zm); the combined exponent reduces to
-        # s^2/(2 tau_r^2) - mu/tau_r, which is < 0 whenever zm < 0
-        term_m = math.exp(s ** 2 / (2.0 * tau_r ** 2) - mu / tau_r) * math.erfc(zm)
-    return 0.5 * (term_p + term_m)
+    c = s / (math.sqrt(2.0) * tau_r)
+    with np.errstate(over="ignore"):
+        r = mu / (math.sqrt(2.0) * s)
+        zp, zm = c + r, c - r
+        pref = np.exp(-r * r)  # exp(-mu^2 / (2 s^2))
+        ez = _erfcx_array(np.stack([zp, np.abs(zm)]).astype(complex)).real
+        g = pref * ez[1]
+        # zm < 0: exp(-r^2 + zm^2) * erfc(zm), with erfc(zm) = 2 - erfc(-zm)
+        # and erfc(-zm) = exp(-zm^2) erfcx(-zm); the combined exponent reduces
+        # to c^2 - mu/tau_r, which is < 0 whenever zm < 0
+        term_m = np.where(zm < 0.0, 2.0 * np.exp(c * c - mu / tau_r) - g, g)
+    out = 0.5 * (pref * ez[0] + term_m)
+    return float(out) if out.ndim == 0 else out

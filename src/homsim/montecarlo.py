@@ -60,6 +60,7 @@ __all__ = [
     "simulate_histogram",
     "simulate_hbt_purity",
     "analytic_visibility",
+    "analytic_visibility_at",
     "analytic_g2_indist",
     "hbt_analytic_g2",
     "multi_photon_prob_for_g2",
@@ -594,19 +595,41 @@ def multi_photon_prob_for_g2(g2_target: float) -> float:
 
 def analytic_visibility(scenario: InterferenceScenario) -> float:
     """Model prediction for the peak-area interference visibility of the
-    scenario, in closed form: the detuning/jitter ensemble average
-    (visibility_inhom_direct, or 1/(1 + tau_r^2 delta0^2) without jitter)
-    times the arrival-time overlap factor from deliberate delay and emission
-    jitter."""
-    if scenario.mode == MODE_CROSS_POLARIZED:
-        return 0.0
+    scenario: analytic_visibility_at its pair's own arrival offset, mean
+    detuning and jitter scale."""
     pair = scenario.pair
-    f_time = time_jitter_overlap_factor(pair.tau_r, pair.delta_tau, scenario.emission_jitter)
-    if pair.sigma_g == 0:
-        f_freq = 1.0 / (1.0 + (pair.tau_r * pair.delta0) ** 2)
+    return analytic_visibility_at(scenario, pair.delta_tau, pair.delta0, pair.sigma_g)
+
+
+def analytic_visibility_at(scenario: InterferenceScenario, delta_tau, delta0, sigma_g):
+    """Model prediction for the peak-area interference visibility of the
+    scenario with its pair's arrival offset, mean detuning and jitter scale
+    replaced by delta_tau, delta0 and sigma_g, in closed form: the
+    detuning/jitter ensemble average (visibility_inhom_direct, or
+    1/(1 + tau_r^2 delta0^2) where sigma_g = 0) times the arrival-time
+    overlap factor from deliberate delay and emission jitter.
+
+    Elementwise over delta_tau, delta0 and sigma_g, scalars or arrays that
+    broadcast together: scalars give a float, arrays a float array. A
+    single value that is not finite, or a sigma_g < 0, raises ValueError.
+    """
+    delta_tau, delta0, sigma_g = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (delta_tau, delta0, sigma_g)))
+    if not (np.isfinite(delta_tau).all() and np.isfinite(delta0).all()
+            and (np.isfinite(sigma_g) & (sigma_g >= 0)).all()):
+        raise ValueError("delta_tau, delta0 and sigma_g must be finite, with sigma_g >= 0")
+    if scenario.mode == MODE_CROSS_POLARIZED:
+        out = np.zeros(delta_tau.shape)
     else:
-        f_freq = visibility_inhom_direct(pair.tau_r, pair.sigma_g, pair.delta0)
-    return f_time * f_freq
+        tau_r = scenario.pair.tau_r
+        f_freq = np.empty(sigma_g.shape)
+        jittered = sigma_g > 0
+        f_freq[jittered] = visibility_inhom_direct(tau_r, sigma_g[jittered], delta0[jittered])
+        d = tau_r * delta0[~jittered]
+        with np.errstate(over="ignore"):
+            f_freq[~jittered] = 1.0 / (1.0 + d * d)
+        out = time_jitter_overlap_factor(tau_r, delta_tau, scenario.emission_jitter) * f_freq
+    return float(out) if out.ndim == 0 else out
 
 
 def analytic_g2_indist(scenario: InterferenceScenario) -> float:

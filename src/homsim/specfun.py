@@ -68,7 +68,8 @@ def erfcx(x: float) -> float:
 
 def _laplace_cf(w, h=1.0):
     """Bottom-up value of w + (h/2)/(w + h/(w + (3h/2)/(w + ...))) over
-    40 levels, for real w > 0 or complex w with Re w >= 0.
+    40 levels, for real w > 0 or complex w with Re w >= 0; elementwise
+    over arrays of w and h.
 
     With h = 1 this is the denominator of erfcx(z) = 1/(sqrt(pi) * cf(z));
     for z = x*w it scales as cf(z) = x * cf(w, 1/x^2) (see _scaled_erfcx).
@@ -81,9 +82,9 @@ def _laplace_cf(w, h=1.0):
     return t
 
 
-def erfcx_complex(z: complex) -> complex:
+def erfcx_complex(z):
     """Scaled complementary error function exp(z^2) * erfc(z) for finite
-    complex z with Re z >= 0.
+    complex z with Re z >= 0, elementwise over a scalar or an array.
 
     Below |z| = 8 this is Weideman's N = 40 rational expansion of
     w(iz) = erfcx(z) in Z = (L - z)/(L + z),
@@ -93,29 +94,56 @@ def erfcx_complex(z: complex) -> complex:
     whose coefficients are computed once at import; from there out it is
     the Laplace continued fraction shared with erfcx. Both agree with
     mpmath to about 1e-15 relative; on the real axis they agree with erfcx.
+    Scalar input gives a Python complex, array input a complex array of the
+    same shape; a single element that is not finite or has Re z < 0 raises
+    ValueError.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"erfcx_complex requires finite input, got {z}")
-    if z.real < 0.0:
-        raise ValueError(f"erfcx_complex is defined for Re z >= 0 only, got {z}")
-    if abs(z) >= _ERFCX_COMPLEX_CF_RADIUS:
-        return 1.0 / (_SQRT_PI * _laplace_cf(z))
-    d = 1.0 / (_WEIDEMAN_L + z)
-    big_z = (_WEIDEMAN_L - z) * d
-    p = 0.0
-    for c in _WEIDEMAN_COEFFS:
-        p = p * big_z + c
-    return (2.0 * p * d + 1.0 / _SQRT_PI) * d
+    z = np.asarray(z, dtype=complex)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise ValueError(f"erfcx_complex requires finite input, got {z[bad][0]}")
+    bad = z.real < 0.0
+    if bad.any():
+        raise ValueError(f"erfcx_complex is defined for Re z >= 0 only, got {z[bad][0]}")
+    out = _erfcx_array(z)
+    return complex(out) if out.ndim == 0 else out
 
 
-def _scaled_erfcx(w: complex, s: float) -> complex:
-    """sqrt(pi) * x * erfcx(x * w) with x = 1/s, for s >= 0 and Re w >= 0.
+def _erfcx_array(z):
+    """erfcx_complex of a complex array already known to be finite with
+    Re z >= 0: the continued fraction on the rows with |z| >= 8, the
+    rational expansion on the others. Real +inf gives 0, its limit."""
+    out = np.empty_like(z)
+    far = np.abs(z) >= _ERFCX_COMPLEX_CF_RADIUS
+    if far.any():  # each branch loops 40 times, so an empty one is skipped
+        out[far] = (1.0 / _SQRT_PI) / _laplace_cf(z[far])
+    near = ~far
+    if near.any():
+        zn = z[near]
+        d = 1.0 / (_WEIDEMAN_L + zn)
+        big_z = (_WEIDEMAN_L - zn) * d
+        p = 0.0
+        for c in _WEIDEMAN_COEFFS:
+            p = p * big_z + c
+        out[near] = (2.0 * p * d + 1.0 / _SQRT_PI) * d
+    return out
+
+
+def _scaled_erfcx(w, s):
+    """sqrt(pi) * x * erfcx(x * w) with x = 1/s, elementwise over complex
+    w with Re w >= 0 and real s >= 0 (arrays of one shape), as a complex
+    array of that shape.
 
     Where |x * w| >= 8 with s < 1, the only case in which x * w can
     overflow (s may be 0), the continued fraction runs on w with the scale
     carried in its coefficients: sqrt(pi) * x * erfcx(x * w) = 1/cf(w, s^2).
     """
-    if s < 1.0 and abs(w) >= _ERFCX_COMPLEX_CF_RADIUS * s:
-        return 1.0 / _laplace_cf(w, s * s)
-    return _SQRT_PI / s * erfcx_complex(w / s)
+    out = np.empty_like(w)
+    scaled = (s < 1.0) & (np.abs(w) >= _ERFCX_COMPLEX_CF_RADIUS * s)
+    if scaled.any():
+        ss = s[scaled]
+        out[scaled] = 1.0 / _laplace_cf(w[scaled], ss * ss)
+    direct = ~scaled
+    sd = s[direct]
+    out[direct] = _SQRT_PI / sd * _erfcx_array(w[direct] / sd)
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from homsim.cli import cmd_fit, cmd_simulate, cmd_sweep, main
+from homsim.config import load_config
 from homsim.model import PairSpec
-from homsim.montecarlo import RNG_ALGORITHM
+from homsim.montecarlo import RNG_ALGORITHM, analytic_visibility
 from oracles_quadrature import visibility_inhom_quadrature
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "homsim" / "configs"
@@ -231,11 +233,53 @@ class TestSweep:
         assert rows["visibility"][1] == pytest.approx(0.364, abs=1e-6)  # at the reference T
         assert rows["visibility"][0] == pytest.approx(rows["visibility"][2], rel=1e-9)
 
-    def test_bad_range_exit_2(self, tmp_path):
-        cfg = small_config(tmp_path)
-        assert cmd_sweep(cfg, "sigma_g", "1:2", tmp_path / "o") == 2
-        assert cmd_sweep(cfg, "sigma_g", "a:b:3", tmp_path / "o") == 2
-        assert cmd_sweep(cfg, "sigma_g", "1:2:0", tmp_path / "o") == 2
+    def test_bad_range_exit_2(self, tmp_path, capsys):
+        for analytic in (False, True):
+            cfg = small_config(tmp_path, model_overrides={"analytic_only": analytic},
+                               sweep={"temperature_slope_uev_per_K": 2.0, "temperature_ref_K": 5.0})
+            for axis, text in (("sigma_g", "1:2"), ("sigma_g", "a:b:3"), ("sigma_g", "1:2:0"),
+                               ("sigma_g", "-1:2:3"), ("detuning", "nan:1:5"),
+                               ("detuning", "0:1e400:5"),
+                               ("delta_t", "-1e308:1e308:3"),  # the linspace step overflows
+                               ("temperature-proxy", "0:1.7e308:3")):  # the detuning overflows
+                assert cmd_sweep(cfg, axis, text, tmp_path / "o") == 2, (analytic, axis, text)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_csv_byte_identical_on_rerun(self, tmp_path):
+        for name, overrides, axis, text in (
+                ("analytic", {"model_overrides": {"analytic_only": True}}, "detuning", "-4:4:41"),
+                ("analytic", {"model_overrides": {"analytic_only": True}}, "delta_t", "-2:2:41"),
+                ("monte-carlo", {"n_pulses": 5000}, "detuning", "0:2:2")):
+            (tmp_path / name).mkdir(exist_ok=True)
+            cfg = small_config(tmp_path / name, emission_jitter_ns=0.2, **overrides)
+            runs = []
+            for i in range(2):
+                out = tmp_path / name / f"{axis}-{i}"
+                assert cmd_sweep(cfg, axis, text, out) == 0
+                runs.append((out / "sweep.csv").read_bytes())
+            assert runs[0] == runs[1], (name, axis)
+
+    def test_analytic_rows_match_point_scenarios(self, tmp_path):
+        # a jittered, detuned pair; sigma_g from 0 covers the Lorentzian rows
+        path = small_config(tmp_path, emission_jitter_ns=0.2, delta0_rad_per_ns=1.3,
+                            model_overrides={"analytic_only": True})
+        scenario = load_config(path).scenario
+        for axis, field, text in (("delta_t", "delta_tau", "-3:3:61"),
+                                  ("sigma_g", "sigma_g", "0:6:61")):
+            out = tmp_path / axis
+            assert cmd_sweep(path, axis, text, out) == 0
+            rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+            assert rows.shape == (61, 4)
+            for value, vis, g2, err in rows:
+                point = dataclasses.replace(
+                    scenario, pair=dataclasses.replace(scenario.pair, **{field: value}))
+                ref = analytic_visibility(point)
+                assert abs(vis - ref) <= 1e-15, (axis, value)
+                assert abs(g2 - 0.5 * (1.0 - ref)) <= 1e-15, (axis, value)
+                assert err == 0.0
+            assert len((out / "run.log").read_text().splitlines()) == 1
 
     def test_bad_axis_exit_2(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -326,12 +326,36 @@ class TestInhomVisibility:
         grid = [(0.67, ts, td) for ts in ts_all for td in td_all]
         grid += [(tau_r, ts, td) for tau_r in (0.2, 2.0) for ts in ts_all[::2]
                  for td in (0.0, 0.3, -3.0, 30.0, -300.0)]
+        # one array call per lifetime (tau_r is a scalar argument)
         worst = 0.0
-        for tau_r, ts, td in grid:
-            sg, d0 = ts / tau_r, td / tau_r
+        for tau_r in sorted({g[0] for g in grid}):
+            sg = np.array([ts / tau_r for t, ts, _ in grid if t == tau_r])
+            d0 = np.array([td / tau_r for t, _, td in grid if t == tau_r])
             v = visibility_inhom_direct(tau_r, sg, d0)
-            worst = max(worst, abs(v - detuned_visibility_oracle(tau_r, sg, d0)))
+            assert v.shape == sg.shape
+            for vi, s, d in zip(v, sg, d0):
+                worst = max(worst, abs(vi - detuned_visibility_oracle(tau_r, s, d)))
         assert worst < 1e-13
+
+    def test_array_input(self):
+        # arrays broadcast against scalars and keep their shape; scalars
+        # give a float equal to the array element
+        sg = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
+        v = visibility_inhom_direct(0.67, sg, 2.5)
+        assert v.shape == (3, 4)
+        scalar = visibility_inhom_direct(0.67, float(sg[1, 2]), 2.5)
+        assert type(scalar) is float
+        assert scalar == pytest.approx(v[1, 2], rel=1e-15)
+        assert visibility_inhom_direct(0.67, 1.0, np.array([0.0, 1e308]))[1] == 0.0
+
+    @pytest.mark.parametrize("sigma_g,delta0", [([1.0, 0.0, 2.0], 0.0), ([1.0, -1.0], 0.0),
+                                                ([1.0, float("nan")], 0.0),
+                                                ([1.0, float("inf")], 0.0),
+                                                (1.0, [0.0, float("nan")]),
+                                                (1.0, [float("-inf"), 0.0])])
+    def test_one_bad_element_rejected(self, sigma_g, delta0):
+        with pytest.raises(ValueError):
+            visibility_inhom_direct(0.67, np.array(sigma_g), np.array(delta0))
 
     def test_detuned_limits(self):
         # delta0 = 0 is the undetuned expression sqrt(pi) x erfcx(x), on both
@@ -490,6 +514,27 @@ class TestTimeJitterOverlapFactor:
             + integrate_1d(f, 0.0, span, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11,
                                                         max_subdivisions=4000))
         assert time_jitter_overlap_factor(tau_r, mu, sj) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("sj", [0.0, 0.05, 0.3, 2.5])
+    def test_array_equals_elementwise_scalars(self, sj):
+        # zm = sj/tau_r - |mu|/(2 sj) changes sign inside the offset range for
+        # every jitter > 0, so both branches of the closed form are covered
+        tau_r = 0.67
+        mu = np.linspace(-40.0, 40.0, 161)
+        if sj > 0:
+            zm = sj / tau_r - np.abs(mu) / (2.0 * sj)
+            assert (zm >= 0).any() and (zm < 0).any()
+        f = time_jitter_overlap_factor(tau_r, mu, sj)
+        assert f.shape == mu.shape
+        scalars = [time_jitter_overlap_factor(tau_r, float(m), sj) for m in mu]
+        assert all(type(x) is float for x in scalars)
+        np.testing.assert_allclose(f, scalars, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("sj", [0.0, 0.3])
+    def test_one_nonfinite_offset_rejected(self, sj):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                time_jitter_overlap_factor(0.67, np.array([0.0, 1.0, bad]), sj)
 
 
 class TestTypeValidation:

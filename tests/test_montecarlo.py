@@ -34,6 +34,7 @@ from homsim.montecarlo import (
     _simulate_block,
     analytic_g2_indist,
     analytic_visibility,
+    analytic_visibility_at,
     hbt_analytic_g2,
     multi_photon_prob_for_g2,
     sample_pair_events,
@@ -203,7 +204,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.5.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.6.0"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "98642e529a70d11e71c75dabe2e6ec8f844f459e470054c026c34c03ce3ba19c",
     (MODE_REMOTE, True): "03a2d9c04ebb74c3fa906c0cd2839a4dc239df51cbf69649b542191babc14ecc",
@@ -613,6 +614,22 @@ class TestAnalyticReferences:
                 assert math.isfinite(v) and 0.0 <= v <= undetuned + 1e-15, (sg, d0, v)
                 if tau_r * sg <= 1e-8:
                     assert v == pytest.approx(1.0 / (1.0 + (tau_r * d0) ** 2), abs=1e-13), (sg, d0)
+
+    def test_visibility_at_arrays(self):
+        scn = remote_scenario(1)
+        sg = np.array([0.0, 0.5, 2.0, 0.0])
+        d0 = np.array([0.0, 1.0, -3.0, 1e200])
+        v = analytic_visibility_at(scn, 0.25, d0, sg)
+        for i in range(sg.size):
+            point = replace(scn, pair=replace(scn.pair, delta_tau=0.25, delta0=d0[i], sigma_g=sg[i]))
+            assert v[i] == pytest.approx(analytic_visibility(point), rel=1e-15, abs=0.0)
+        assert v[3] == 0.0  # (tau_r delta0)^2 overflows: the Lorentzian is 0
+        cross = replace(scn, mode=MODE_CROSS_POLARIZED)
+        assert np.array_equal(analytic_visibility_at(cross, 0.0, d0, sg), np.zeros(4))
+        for bad in ((0.0, 0.0, [1.0, -1e-3]), ([0.0, float("nan")], 0.0, 1.0),
+                    (0.0, [float("inf"), 0.0], 0.0), (0.0, 0.0, [0.0, float("nan")])):
+            with pytest.raises(ValueError):
+                analytic_visibility_at(scn, *bad)
 
     def test_jitter_factorization(self):
         # emission jitter multiplies the frequency-ensemble visibility

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -31,3 +34,18 @@ class TestPublicSurface:
         for path in SRC.rglob("*"):
             if path.is_file() and "__pycache__" not in path.parts:
                 assert "oracles_quadrature" not in path.read_text(encoding="utf-8"), path
+
+
+class TestImportCost:
+    def test_cli_import_loads_only_stdlib_numpy_and_homsim(self):
+        # a fresh interpreter, so that nothing the tests imported counts;
+        # the import time of homsim.cli is the benchmark's setup_s
+        code = ("import sys; before = set(sys.modules); import homsim.cli; "
+                "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True)
+        loaded = set(res.stdout.split())
+        assert "homsim" in loaded
+        assert not loaded - set(sys.stdlib_module_names) - {"numpy", "homsim"}, loaded

@@ -23,8 +23,8 @@ def erfc_series_reference(x, dps=50):
 
 
 class TestErfc:
-    """math.erfc, which time_jitter_overlap_factor calls on negative
-    arguments and erfcx below its crossover, against the series oracle."""
+    """math.erfc, which erfcx calls below its crossover, against the
+    series oracle."""
 
     def test_zero(self):
         assert math.erfc(0.0) == 1.0
@@ -105,16 +105,21 @@ class TestErfcxComplex:
     def test_against_mpmath_over_right_half_plane(self):
         # |z| over twelve decades and arg z over [-pi/2, pi/2] with both ends
         # exactly on the imaginary axis; 8 +- 1e-6 straddles the switch from
-        # the rational expansion to the continued fraction
+        # the rational expansion to the continued fraction. The whole grid
+        # goes through one array call.
         radii = np.concatenate([np.geomspace(1e-6, 1e6, 37), [8.0 - 1e-6, 8.0, 8.0 + 1e-6]])
-        worst = 0.0
-        for r in radii:
-            for theta in np.linspace(-math.pi / 2, math.pi / 2, 13):
-                re = 0.0 if abs(theta) == math.pi / 2 else r * math.cos(theta)
-                z = complex(re, r * math.sin(theta))
-                ref = erfcx_mpmath(z)
-                worst = max(worst, abs(erfcx_complex(z) - ref) / abs(ref))
-        assert worst < 1e-13
+        grid = np.array([complex(0.0 if abs(theta) == math.pi / 2 else r * math.cos(theta),
+                                 r * math.sin(theta))
+                         for r in radii for theta in np.linspace(-math.pi / 2, math.pi / 2, 13)])
+        ref = np.array([erfcx_mpmath(z) for z in grid])
+        values = erfcx_complex(grid)
+        assert values.shape == grid.shape
+        assert np.max(np.abs(values - ref) / np.abs(ref)) < 1e-13
+        # a 0-d input is the scalar face of the same kernel
+        for i in (0, 250, grid.size - 1):
+            scalar = erfcx_complex(grid[i])
+            assert type(scalar) is complex
+            assert scalar == pytest.approx(values[i], rel=1e-15)
 
     def test_real_axis_matches_erfcx(self):
         # erfcx itself is off mpmath by up to 1.02e-15 near x = 3.3, where
@@ -130,6 +135,9 @@ class TestErfcxComplex:
     def test_outside_domain_rejected(self, z):
         with pytest.raises(ValueError):
             erfcx_complex(z)
+        # one bad element in an array rejects the whole call
+        with pytest.raises(ValueError):
+            erfcx_complex(np.array([1.0, 2.0 + 3.0j, z, 20.0j]))
 
 
 class TestIntegrate1d:
