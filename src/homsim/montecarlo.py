@@ -13,7 +13,9 @@ and the groups of lone photon onsets; _mode_detections samples both;
 _apply_detector and _correlate follow; _run_blocks sums the blocks into one
 CorrelationHistogram. The stages select elements by index (take) or with
 compress, never by boolean-mask indexing, which numpy runs several times
-slower on the half-full masks that routing produces.
+slower on the half-full masks that routing produces. They work in place
+where an old value is dead and evaluate a branch only for rows that can
+take it, with every operation in its order, so counts stay bitwise equal.
 
 Reproducibility contract
 ------------------------
@@ -35,6 +37,7 @@ effect on side-peak areas.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -217,27 +220,34 @@ def _sample_g_wing(tau_r, a_abs, u):
     return tau_r * np.where(uu < m1, x1, x2)
 
 
-def _thin(g, propose, accept, *params):
-    """Rejection sampling of one symmetric delay per row: propose(k) draws k
-    positive proposals and accept(x, *params) gives the acceptance
-    probability of proposals x for rows with the given parameter arrays, an
-    even function of the delay. Each round redraws only the rows still
-    pending. An accepted row's uniform u is uniform on [0, p) given
-    acceptance with probability p, independent of x, so u < p/2 gives the
-    delay's sign without another draw."""
-    vals = np.empty(params[0].size)
-    pending = np.arange(vals.size)
-    while pending.size:
-        prop = propose(pending.size)
+def _thin(g, out, rows, propose, accept, *params):
+    """Rejection sampling of one symmetric delay into out[rows]: propose(k)
+    draws k positive proposals and accept(x, *params) returns a fresh array
+    of the acceptance probabilities of proposals x for rows with the given
+    parameter arrays, an even function of the delay. Each round writes
+    every pending row and redraws only the rows it did not accept, so a row
+    keeps the delay of the round that accepts it. An accepted row's uniform
+    u is uniform on [0, p) given acceptance with probability p, independent
+    of x, so u < p/2 gives the delay's sign, computed in place."""
+    while rows.size:
+        prop = propose(rows.size)
         p = accept(prop, *params)
-        u = g.random(pending.size)
-        signed = np.copysign(prop, 0.5 * p - u)
+        u = g.random(rows.size)
         miss = u >= p
-        hit = np.nonzero(~miss)[0]
-        vals[pending[hit]] = signed[hit]
-        pending = pending.compress(miss)
+        p *= 0.5
+        p -= u
+        out[rows] = np.copysign(prop, p, out=prop)
+        rows = rows.compress(miss)
         params = [q.compress(miss) for q in params]
-    return vals
+
+
+def _accept_cos(t, d, hs):
+    """0.5 + hs cos(d t), the exponential proposal's acceptance, in place."""
+    p = d * t
+    np.cos(p, out=p)
+    p *= hs
+    p += 0.5
+    return p
 
 
 def _sample_tau(tau_r, dtau, delta, opposite, g):
@@ -267,21 +277,21 @@ def _sample_tau(tau_r, dtau, delta, opposite, g):
     m_int = 4.0 * tau_r * np.exp(-a_abs) * (x2 + 2.0 * ~opposite) / (1.0 + x2)
     u_comp = g.random(n) * (2.0 * m_wing + m_int)
     pick_int = u_comp >= 2.0 * m_wing
+    gam = pick_int & opposite & (x2 < 2.0)
 
     tau = np.empty(n)
-    wing = np.nonzero(~pick_int)[0]
+    wing = np.flatnonzero(~pick_int)
     if wing.size:
         x = _sample_g_wing(tau_r, a_abs[wing], g.random(wing.size))
         orient = np.where(u_comp[wing] < m_wing[wing], 1.0, -1.0) * np.sign(dtau[wing])
         tau[wing] = orient * x
-    gam = pick_int & opposite & (x2 < 2.0)
-    ig = np.nonzero(gam)[0]
+    del a_abs, x2, m_wing, m_int, u_comp  # free the block-sized arrays before thinning
+    ig = np.flatnonzero(gam)
     # np.sinc(y) = sin(pi y)/(pi y); (1 - cos x)/(x^2/2) would cancel to 0
-    tau[ig] = _thin(g, partial(g.gamma, 3.0, tau_r), lambda t, d: np.sinc(d * t) ** 2,
-                    delta[ig] / (2.0 * math.pi))
-    ie = np.nonzero(pick_int & ~gam)[0]
-    tau[ie] = _thin(g, partial(g.exponential, tau_r), lambda t, d, hs: 0.5 + hs * np.cos(d * t),
-                    delta[ie], 0.5 - opposite[ie])
+    _thin(g, tau, ig, partial(g.gamma, 3.0, tau_r), lambda t, d: np.sinc(d * t) ** 2,
+          delta[ig] / (2.0 * math.pi))
+    ie = np.flatnonzero(pick_int ^ gam)  # gam is a subset of pick_int
+    _thin(g, tau, ie, partial(g.exponential, tau_r), _accept_cos, delta[ie], 0.5 - opposite[ie])
     return tau
 
 
@@ -289,9 +299,13 @@ def _sample_t0(tau_r, dtau, delta, tau, opposite, u_seg, u_exp):
     """First-detection time conditioned on the delay tau.
 
     At fixed tau the kernel in t0 is exponential with rate 2/tau_r on two
-    segments: between the staggered packet onsets only one amplitude product
-    is alive (relative weight 1); past both onsets the interference term
-    rescales the amplitude to 2 -+ 2 cos(delta*tau)."""
+    segments: on [mn, mx), between the staggered packet onsets, only one
+    amplitude product is alive (relative weight 1 - e^{-rate (mx - mn)});
+    past mx the interference term rescales the amplitude to
+    2 -+ 2 cos(delta*tau). Every row gets the tail sample past mx; exp, cos
+    and the truncated exponential are evaluated only for rows with mx > mn,
+    since a row with mx == mn has a first segment of weight 0 and never
+    picks it (every row at dtau = 0)."""
     o1 = dtau / 2.0
     o2 = -dtau / 2.0
     a = np.maximum(o1, o2 - tau)
@@ -299,15 +313,18 @@ def _sample_t0(tau_r, dtau, delta, tau, opposite, u_seg, u_exp):
     mn = np.minimum(a, b)
     mx = np.maximum(a, b)
     rate = 2.0 / tau_r
+    t0 = mx - np.log1p(-u_exp) / rate  # shifted exponential past mx
+    seg = np.flatnonzero(mx > mn)
+    if seg.size < mx.size:
+        mn, mx, delta, tau, opposite, u_seg, u_exp = (
+            v.take(seg) for v in (mn, mx, delta, tau, opposite, u_seg, u_exp))
     s = np.exp(-rate * (mx - mn))
-    amp = 2.0 + np.where(opposite, -2.0, 2.0) * np.cos(delta * tau)
     w1 = 1.0 - s
-    w2 = np.maximum(amp, 1e-300) * s
-    pick1 = u_seg * (w1 + w2) < w1
-    # truncated exponential on [mn, mx) or shifted exponential past mx
-    t_trunc = mn - np.log1p(-u_exp * (1.0 - s)) / rate
-    t_tail = mx - np.log1p(-u_exp) / rate
-    return np.where(pick1, t_trunc, t_tail)
+    amp = 2.0 + np.where(opposite, -2.0, 2.0) * np.cos(delta * tau)
+    pick1 = u_seg * (w1 + np.maximum(amp, 1e-300) * s) < w1
+    # truncated exponential on [mn, mx)
+    t0[seg.compress(pick1)] = (mn - np.log1p(-u_exp * w1) / rate).compress(pick1)
+    return t0
 
 
 def _sample_meeting_pairs(tau_r, dtau, delta, g):
@@ -315,16 +332,16 @@ def _sample_meeting_pairs(tau_r, dtau, delta, g):
     photons split, the two detection times (relative to the pair midpoint)
     and the port of each detection."""
     n = dtau.size
-    adt = np.abs(dtau)
-    p_split = 0.5 * (1.0 - np.exp(-adt / tau_r) / (1.0 + (tau_r * delta) ** 2))
-    u_port = g.random(n)
-    opposite = u_port < p_split
+    p_split = 0.5 * (1.0 - np.exp(-np.abs(dtau) / tau_r) / (1.0 + (tau_r * delta) ** 2))
+    opposite = g.random(n) < p_split
+    del p_split  # not needed while the delays are thinned
     tau = _sample_tau(tau_r, dtau, delta, opposite, g)
     u_seg = g.random(n)
     u_exp = g.random(n)
     port_a = _coin(g, n)
     t0 = _sample_t0(tau_r, dtau, delta, tau, opposite, u_seg, u_exp)
-    return opposite, t0, t0 + tau, port_a, port_a ^ opposite
+    tau += t0  # the second detection
+    return opposite, t0, tau, port_a, port_a ^ opposite
 
 
 def _sample_independent(onsets, tau_r, g):
@@ -353,10 +370,14 @@ def _detuning(g, pair, n):
 def _route_remote(scenario, g, pulse_t):
     """Two emitters, one photon each per pulse: every pulse is a meeting."""
     n = pulse_t.size
-    j1 = _jitter(g, scenario.emission_jitter, n)
-    j2 = _jitter(g, scenario.emission_jitter, n)
-    delta = _detuning(g, scenario.pair, n)
-    return pulse_t + (j1 + j2) / 2.0, scenario.pair.delta_tau + j1 - j2, delta, []
+    off = scenario.pair.delta_tau
+    if scenario.emission_jitter > 0:
+        j1 = _jitter(g, scenario.emission_jitter, n)
+        j2 = _jitter(g, scenario.emission_jitter, n)
+        mid, dtau = pulse_t + (j1 + j2) / 2.0, off + j1 - j2
+    else:  # jitters of 0.0 would add +0.0: pulse times are >= 0, and -0.0 + 0.0 is 0.0
+        mid, dtau = pulse_t, np.full(n, off + 0.0)
+    return mid, dtau, _detuning(g, scenario.pair, n), []
 
 
 def _route_pulse_pair(scenario, g, pulse_t):
@@ -430,7 +451,9 @@ def _mode_detections(route, scenario, g, pulse_t):
     groups = []
     if mid.size:
         _, ta, tb, pa, pb = _sample_meeting_pairs(tr, dtau, delta, g)
-        groups += [(mid + ta, pa), (mid + tb, pb)]
+        ta += mid
+        tb += mid
+        groups += [(ta, pa), (tb, pb)]
     groups += [_sample_independent(ons, tr, g) for ons in solo]
     times, ports = zip(*groups)
     return np.concatenate(times), np.concatenate(ports)
@@ -492,27 +515,41 @@ def _correlate(times, ports, halfspan, bin_width, nbins):
     (side "right"). The pairs are walked one lag diagonal k at a time (the
     k-th partner of every detection whose run is longer than k), so no
     array is as long as the number of pairs; each pair's delay and bin are
-    computed as they would be pair by pair, so the counts are too. Bins
-    are clipped to [-1, nbins] and tallied over nbins + 2 cells; the two
-    edge cells, delays that rounding or a window wider than
-    nbins * bin_width puts outside the bins, are dropped once at the end."""
+    computed as they would be pair by pair, so the counts are too. A
+    stable radix sort on a narrow key orders the rows longest run first,
+    in time order within a length, and each diagonal is computed in place
+    in one buffer. Bins are clipped to [-1, nbins] and tallied over
+    nbins + 2 cells; the two edge cells, delays that rounding or a window
+    wider than nbins * bin_width puts outside the bins, are dropped once at
+    the end."""
     d1 = np.sort(times.compress(ports == 0))
     d2 = np.sort(times.compress(ports == 1))
     n1, n2 = d1.size, d2.size
     if n1 == 0 or n2 == 0:
         return np.zeros(nbins, dtype=np.int64), 0
-    rank = np.arange(n1)
-    lo = np.flatnonzero(np.argsort(np.concatenate([d1 - halfspan, d2]), kind="stable") < n1) - rank
-    hi = np.flatnonzero(np.argsort(np.concatenate([d2, d1 + halfspan]), kind="stable") >= n2) - rank
-    per = hi - lo
-    # longest runs first, so the rows with a k-th partner are a prefix
-    order = np.argsort(-per)
-    d1, lo, per = d1.take(order), lo.take(order), per.take(order)
+    lo = np.flatnonzero(np.argsort(np.concatenate([d1 - halfspan, d2]), kind="stable") < n1)
+    per = np.flatnonzero(np.argsort(np.concatenate([d2, d1 + halfspan]), kind="stable") >= n2) - lo
+    # longest runs first, so the rows with a k-th partner are a prefix; a
+    # stable radix sort on a narrow key keeps time order within a length
+    pmax = int(per.max())
+    order = np.argsort((pmax - per).astype(np.min_scalar_type(pmax)), kind="stable")
+    rows = n1 - np.cumsum(np.bincount(per)[:pmax])  # rows[k]: runs longer than k
+    d1 = d1.take(order)
+    lo = lo.take(order)
+    lo -= order  # merge position less the rank of the d1 value
+    del per, order  # free before the loop allocates its buffers
     cells = np.zeros(nbins + 2, dtype=np.int64)
-    for k, m in enumerate(np.searchsorted(-per, -np.arange(per[0]), side="left")):
-        tau = d2[k:].take(lo[:m]) - d1[:m]
-        bins = np.clip(np.floor((tau + halfspan) / bin_width), -1, nbins)
-        cells += np.bincount(bins.astype(np.int64) + 1, minlength=nbins + 2)
+    tau, bins = np.empty(n1), np.empty(n1, dtype=np.intp)
+    for k, m in enumerate(rows):
+        t, b = tau[:m], bins[:m]
+        np.take(d2[k:], lo[:m], out=t, mode="clip")  # in range; "raise" would buffer out
+        np.subtract(t, d1[:m], out=t)
+        np.add(t, halfspan, out=t)
+        np.divide(t, bin_width, out=t)
+        np.floor(t, out=t)
+        np.clip(t, -1, nbins, out=t)
+        np.add(t, 1, out=b, casting="unsafe")
+        cells += np.bincount(b, minlength=nbins + 2)
     counts = cells[1:-1]
     return counts, int(counts.sum())
 
@@ -540,9 +577,11 @@ def _run_blocks(route, scenario, rng, label, bin_width, window_periods, n_jobs):
                    bin_width=bin_width, nbins=nbins)
     counts = np.zeros(nbins, dtype=np.int64)
     total = 0
+    # each worker holds a block's arrays: no more workers than blocks or cores
+    workers = max(min(n_jobs, n_blocks, os.cpu_count() or 1), 1)
     # the pool starts no thread unless pool.map is used
-    with ThreadPoolExecutor(max_workers=max(n_jobs, 1)) as pool:
-        mapper = map if n_jobs <= 1 or n_blocks == 1 else pool.map
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = map if workers == 1 else pool.map
         for cc, t in mapper(work, range(n_blocks)):
             counts += cc
             total += t

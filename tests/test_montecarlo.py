@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import types
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import homsim
+from homsim import montecarlo
 from homsim.analysis import g2_indist_double_pulse, peak_areas
 from homsim.config import load_config
 from homsim.model import PairSpec, p_inhom, sigma_for_visibility, visibility_inhom_direct
@@ -30,6 +32,7 @@ from homsim.montecarlo import (
     _mode_detections,
     _route_hbt,
     _sample_g_wing,
+    _sample_t0,
     _sample_tau,
     _simulate_block,
     analytic_g2_indist,
@@ -107,6 +110,26 @@ def correlate_by_repeat(times, ports, halfspan, bin_width, nbins):
     ok = (bins >= 0) & (bins < nbins)
     counts += np.bincount(bins[ok], minlength=nbins)
     return counts, int(ok.sum())
+
+
+def sample_t0_two_branch(tau_r, dtau, delta, tau, opposite, u_seg, u_exp):
+    """Reference for _sample_t0: both segment branches for every row, as
+    the sampler computed them up to version 0.6.0."""
+    o1 = dtau / 2.0
+    o2 = -dtau / 2.0
+    a = np.maximum(o1, o2 - tau)
+    b = np.maximum(o2, o1 - tau)
+    mn = np.minimum(a, b)
+    mx = np.maximum(a, b)
+    rate = 2.0 / tau_r
+    s = np.exp(-rate * (mx - mn))
+    amp = 2.0 + np.where(opposite, -2.0, 2.0) * np.cos(delta * tau)
+    w1 = 1.0 - s
+    w2 = np.maximum(amp, 1e-300) * s
+    pick1 = u_seg * (w1 + w2) < w1
+    t_trunc = mn - np.log1p(-u_exp * (1.0 - s)) / rate
+    t_tail = mx - np.log1p(-u_exp) / rate
+    return np.where(pick1, t_trunc, t_tail)
 
 
 def remote_scenario(n_pulses=100_000, **kw):
@@ -193,6 +216,33 @@ class TestDeterminism:
             assert 0 < meeting[0] < CHUNK_PULSES
             assert g.normals == meeting[0]
 
+    @pytest.mark.parametrize("cores, workers", [(64, 3), (2, 2), (None, 1)])
+    def test_workers_bounded_by_blocks_and_cores(self, monkeypatch, cores, workers):
+        # n_jobs has no upper bound in the config; the pool gets at most one
+        # worker per block and per core. The stand-in pool starts no thread.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "os", types.SimpleNamespace(cpu_count=lambda: cores))
+        scn = remote_scenario(3 * CHUNK_PULSES - 5)
+        rng = RngSpec(seed=47)
+        wide = simulate_histogram(scn, rng, window_periods=4, n_jobs=10 ** 9)
+        assert started == [workers]
+        serial = simulate_histogram(scn, rng, window_periods=4, n_jobs=1)
+        assert np.array_equal(wide.counts, serial.counts)
+
     def test_rng_spec_validation(self):
         with pytest.raises(ValueError):
             RngSpec(seed=-1)
@@ -204,7 +254,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.6.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.6.1"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "98642e529a70d11e71c75dabe2e6ec8f844f459e470054c026c34c03ce3ba19c",
     (MODE_REMOTE, True): "03a2d9c04ebb74c3fa906c0cd2839a4dc239df51cbf69649b542191babc14ecc",
@@ -388,6 +438,23 @@ class TestPairSampler:
         ref = np.array([float(cdf(v)) for v in probes])
         assert np.max(np.abs(emp - ref)) < math.sqrt(math.log(2 / 1e-6) / (2 * n))
 
+    def test_t0_matches_two_branch_reference_bitwise(self):
+        # rows at dtau = 0 (both signs of zero), 1e-300 and far beyond tau_r,
+        # bunched and opposite ports, and delta * tau up to 1e6 rad
+        rng = np.random.default_rng(17)
+        tau_r, n = 0.67, 40_000
+        dtau = rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.3, -2.0, 500.0, -1e4], n)
+        tau = np.where(rng.random(n) < 0.1, rng.choice([0.0, -0.0], n), rng.laplace(0.0, tau_r, n))
+        delta = rng.normal(0.0, 4.0, n) * rng.choice([1.0, 1e3, 1e6], n)
+        opposite = rng.random(n) < 0.5
+        u_seg, u_exp = rng.random(n), rng.random(n)
+        u_exp[:100] = 0.0
+        ref = sample_t0_two_branch(tau_r, dtau, delta, tau, opposite, u_seg, u_exp)
+        for rows in (slice(None), dtau == 0.0, dtau != 0.0):
+            args = [v[rows] for v in (dtau, delta, tau, opposite, u_seg, u_exp)]
+            got = _sample_t0(tau_r, *args)
+            assert got.tobytes() == ref[rows].tobytes()
+
     def test_correlate_matches_pair_enumeration(self):
         # lossy, jittery detector with dark counts, at a window wide enough
         # for 9 lags and one narrower than the peaks, and with a port empty
@@ -454,6 +521,21 @@ class TestCorrelateEdges:
         ports = (rng.random(times.size) < 0.5).astype(np.int8)
         counts, total = assert_correlate_matches(times, ports, 0.3, 0.05, nbins)
         assert counts.size == nbins and total == counts.sum() > 0
+
+    @pytest.mark.parametrize("partners", [300, 40_000, 70_000])
+    def test_long_runs(self, partners):
+        # three detector-1 times whose windows each hold every one of the
+        # detector-2 times: runs longer than 255, 32,767 and 65,535 set the
+        # width of the run-length sort key; a fourth, shorter run and a
+        # detection with no partner ride along
+        rng = np.random.default_rng(partners)
+        d2 = rng.random(partners)
+        d1 = np.array([0.45, 0.5, 0.55, 1.2, 5.0])
+        times = np.concatenate([d1, d2])
+        ports = np.repeat(np.array([0, 1], dtype=np.int8), [d1.size, d2.size])
+        perm = rng.permutation(times.size)
+        _, total = assert_correlate_matches(times[perm], ports[perm], 0.6, 0.05, 24)
+        assert total > 3 * partners
 
     def test_empty_port(self):
         times = np.array([1.0, 1.2, 5.0])
