@@ -1,11 +1,14 @@
 """Extraction of peak areas and the indistinguishability figure from
 coincidence histograms.
 
-The central-to-side-peak area ratio is the measured g2_indist; side peaks are
-taken at multiples of the repetition period. In pulse-pair (double-pulse)
-operation the two satellites at the intra-pulse delay are the natural
-distinguishable reference instead, because the repetition-period peaks carry
-extra pair combinations there (see g2_indist_double_pulse).
+Both estimators share one core: g2_indist is the central window area over a
+reference area, with Poisson errors propagated in quadrature and the central
+variance floored at one count. peak_areas references the mean of the side
+peaks at multiples of the repetition period; g2_indist_double_pulse, for
+pulse-pair operation, the sum of the two satellites at +/- the intra-pulse
+delay, because the repetition-period peaks carry extra pair combinations
+there. One window rule, _check_windows, guards both, and config_from_dict
+applies it to the configured geometry before anything is simulated.
 """
 
 from __future__ import annotations
@@ -45,6 +48,20 @@ class PeakAreaReport:
     side_lags: np.ndarray
 
 
+def _check_windows(window_halfwidth, spacing, reach, halfspan):
+    """Windows of half width window_halfwidth around peaks spacing apart
+    must not overlap, and the one around the farthest peak, at lag reach,
+    must lie within the histogram range +/-halfspan (all in ns)."""
+    if not 0 < window_halfwidth < spacing / 2:
+        raise WindowConfigurationError(
+            f"window half width {window_halfwidth} ns must lie in (0, {spacing / 2}) ns, "
+            f"below half the {spacing} ns peak spacing")
+    if reach + window_halfwidth > halfspan:
+        raise WindowConfigurationError(
+            f"the window around the peak at lag {reach} ns reaches {reach + window_halfwidth} ns, "
+            f"beyond the histogram range +/-{halfspan} ns")
+
+
 def _window_sum(hist, center, halfwidth, baseline_per_bin=0.0):
     """Counts within exactly center +/- halfwidth, taking the covered share
     of each edge bin (counts spread evenly over a bin)."""
@@ -52,6 +69,25 @@ def _window_sum(hist, center, halfwidth, baseline_per_bin=0.0):
     share = np.clip(np.minimum(e[1:], center + halfwidth) - np.maximum(e[:-1], center - halfwidth),
                     0.0, None) / np.diff(e)
     return float(share @ hist.counts) - baseline_per_bin * float(share.sum())
+
+
+def _ratio(hist, window_halfwidth, centers, lags, divisor, baseline_per_bin=0.0):
+    """Central area over the reference sum(side areas at centers) / divisor."""
+    central = _window_sum(hist, 0.0, window_halfwidth, baseline_per_bin)
+    sides = np.array([_window_sum(hist, c, window_halfwidth, baseline_per_bin) for c in centers])
+    side_sum = float(np.sum(sides))
+    ref = side_sum / divisor
+    if ref <= 0:
+        raise WindowConfigurationError("side windows contain no counts; cannot normalize")
+    g2 = central / ref
+    var_c = max(central, 1.0)
+    if central > 0:
+        err = g2 * math.sqrt(var_c / central ** 2 + side_sum / divisor ** 2 / ref ** 2)
+    else:
+        err = math.sqrt(var_c) / ref
+    return PeakAreaReport(central_area=central, side_areas=sides, side_average=ref,
+                          g2_indist=g2, g2_indist_err=err, n_side_peaks=len(sides),
+                          window_halfwidth=window_halfwidth, side_lags=lags)
 
 
 def peak_areas(hist, window_halfwidth: float, n_side_peaks: int = 6, *,
@@ -75,44 +111,11 @@ def peak_areas(hist, window_halfwidth: float, n_side_peaks: int = 6, *,
         raise ValueError(f"n_side_peaks must be a positive even count, got {n_side_peaks}")
     if first_side_peak < 1:
         raise ValueError(f"first_side_peak must be >= 1, got {first_side_peak}")
-    if not 0 < window_halfwidth < T / 2:
-        raise WindowConfigurationError(
-            f"window_halfwidth must lie in (0, rep_period/2) = (0, {T / 2}), got {window_halfwidth}")
     k_max = first_side_peak + n_side_peaks // 2 - 1
-    if k_max * T + window_halfwidth > hist.window_halfspan():
-        raise WindowConfigurationError(
-            f"side peak at lag {k_max}*T = {k_max * T} ns (+{window_halfwidth} ns window) lies outside "
-            f"the histogram range +/-{hist.window_halfspan()} ns")
-
-    central = _window_sum(hist, 0.0, window_halfwidth, baseline_per_bin)
-    lags = np.array([s * k for k in range(first_side_peak, first_side_peak + n_side_peaks // 2)
-                     for s in (+1, -1)], dtype=float)
-    sides = np.array([_window_sum(hist, k * T, window_halfwidth, baseline_per_bin)
-                      for k in lags])
-
-    side_avg = float(np.mean(sides))
-    if side_avg <= 0:
-        raise WindowConfigurationError("side windows contain no counts; cannot normalize")
-    g2 = central / side_avg
-    err = _g2_error(central, sides)
-    return PeakAreaReport(central_area=central, side_areas=sides, side_average=side_avg,
-                          g2_indist=g2, g2_indist_err=err, n_side_peaks=n_side_peaks,
-                          window_halfwidth=window_halfwidth, side_lags=lags)
-
-
-def _g2_error(central, sides):
-    """Poisson propagation for central / mean(sides)."""
-    side_sum = float(np.sum(sides))
-    n = len(sides)
-    mean_b = side_sum / n
-    if mean_b <= 0:
-        return float("inf")
-    var_a = max(central, 1.0)
-    var_mean_b = side_sum / n ** 2
-    g = central / mean_b
-    if central <= 0:
-        return math.sqrt(var_a) / mean_b
-    return abs(g) * math.sqrt(var_a / central ** 2 + var_mean_b / mean_b ** 2)
+    _check_windows(window_halfwidth, T, k_max * T, hist.window_halfspan())
+    lags = np.array([s * k for k in range(first_side_peak, k_max + 1) for s in (+1, -1)],
+                    dtype=float)
+    return _ratio(hist, window_halfwidth, lags * T, lags, n_side_peaks, baseline_per_bin)
 
 
 def g2_indist_double_pulse(hist, intra_delay: float, window_halfwidth: float) -> PeakAreaReport:
@@ -124,23 +127,6 @@ def g2_indist_double_pulse(hist, intra_delay: float, window_halfwidth: float) ->
     g2 = central / (satellite sum) puts perfectly distinguishable photons at
     0.5 and perfect interference at 0, matching the side-peak convention.
     """
-    if not 0 < window_halfwidth < intra_delay / 2:
-        raise WindowConfigurationError(
-            f"window_halfwidth must lie in (0, intra_delay/2) = (0, {intra_delay / 2}), "
-            f"got {window_halfwidth} (satellite windows would overlap the central one)")
-    central = _window_sum(hist, 0.0, window_halfwidth)
-    sats = np.array([_window_sum(hist, +intra_delay, window_halfwidth),
-                     _window_sum(hist, -intra_delay, window_halfwidth)])
-    ref = float(sats.sum())
-    if ref <= 0:
-        raise WindowConfigurationError("satellite windows contain no counts; cannot normalize")
-    g2 = central / ref
-    var_c = max(central, 1.0)
-    if central > 0:
-        err = g2 * math.sqrt(1.0 / central + 1.0 / ref)
-    else:
-        err = math.sqrt(var_c) / ref
-    return PeakAreaReport(central_area=central, side_areas=sats, side_average=ref,
-                          g2_indist=g2, g2_indist_err=err, n_side_peaks=2,
-                          window_halfwidth=window_halfwidth,
-                          side_lags=np.array([+1.0, -1.0]) * intra_delay / hist.rep_period)
+    _check_windows(window_halfwidth, intra_delay, intra_delay, hist.window_halfspan())
+    centers = np.array([+intra_delay, -intra_delay])
+    return _ratio(hist, window_halfwidth, centers, centers / hist.rep_period, 1)

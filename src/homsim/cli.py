@@ -30,7 +30,6 @@ from .montecarlo import (
     MODE_DOUBLE_PULSE,
     RNG_ALGORITHM,
     RngSpec,
-    analytic_g2_indist,
     analytic_visibility,
     analytic_visibility_at,
     simulate_histogram,
@@ -43,12 +42,6 @@ SWEEP_AXES = ("delta_t", "detuning", "sigma_g", "temperature-proxy")
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 class _RunLog:
@@ -70,8 +63,8 @@ class _RunLog:
 
 def _measure_histogram(cfg: ScenarioConfig, rng: RngSpec):
     """Simulate and extract the peak-area figures for the configured mode.
-    A histogram the peak windows cannot normalize (e.g. too few counts)
-    raises ConfigError."""
+    load_config has checked the window geometry; a histogram whose
+    reference windows hold no counts raises ConfigError."""
     hist = simulate_histogram(cfg.scenario, rng, bin_width=cfg.bin_width,
                               window_periods=cfg.window_periods, n_jobs=cfg.n_jobs)
     try:
@@ -94,7 +87,7 @@ def _histogram_csv(hist) -> str:
     edges = hist.bin_edges()
     lines = ["bin_start_ns,bin_end_ns,counts"]
     for lo, hi, c in zip(edges[:-1], edges[1:], hist.counts):
-        lines.append(f"{_fmt(float(lo))},{_fmt(float(hi))},{int(c)}")
+        lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)}")
     return "\n".join(lines) + "\n"
 
 
@@ -114,8 +107,8 @@ def cmd_simulate(config_path, out_dir, seed=None) -> int:
         return 2
     log.stage("simulated", pairs=hist.total_events)
     g2_mc = report.g2_indist
-    g2_ref = analytic_g2_indist(cfg.scenario)
     vis_ref = analytic_visibility(cfg.scenario)
+    g2_ref = 0.5 * (1.0 - vis_ref)
     vis_mc = 1.0 - 2.0 * g2_mc
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -211,7 +204,8 @@ def _parse_range(text):
 
 
 def cmd_sweep(config_path, axis, sweep_range, out_dir) -> int:
-    """Sweep one scenario parameter, writing sweep.csv with columns
+    """Sweep one scenario parameter over sweep_range, a start:stop:steps
+    string, writing sweep.csv with columns
     (axis_value, visibility, g2_indist, stat_error).
 
     With model_overrides.analytic_only the model prediction is evaluated
@@ -223,7 +217,7 @@ def cmd_sweep(config_path, axis, sweep_range, out_dir) -> int:
         cfg = load_config(config_path)
         if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-        start, stop, steps = sweep_range if isinstance(sweep_range, tuple) else _parse_range(sweep_range)
+        start, stop, steps = _parse_range(sweep_range)
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.linspace(start, stop, steps)
         delta_tau, delta0, sigma_g = _axis_pairs(cfg, axis, values)

@@ -1,6 +1,10 @@
 """Scenario configuration: JSON schema with explicit units in field names,
 validation with field-path diagnostics, and default resolution.
 
+The analysis window is checked by the estimator's own rule
+(analysis._check_windows) on the peaks the configured mode reads, so a
+window the estimator would reject fails here, before anything is simulated.
+
 All times are nanoseconds, angular frequencies rad/ns; detunings may
 alternatively be given in microelectronvolts (fields ending in _uev), which
 are converted through hbar = 0.6582119569 ueV*ns.
@@ -12,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .analysis import WindowConfigurationError, _check_windows
 from .model import HBAR_UEV_NS, PairSpec
 from .montecarlo import (
     CHUNK_PULSES,
@@ -178,25 +183,25 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     n_side = _number(raw, "analysis.n_side_peaks", default=6, integer=True, lo=2)
     if n_side % 2:
         raise ConfigError(f"analysis.n_side_peaks: must be even, got {n_side}")
-    first = 2 if mode == MODE_CONSECUTIVE else 1
-    k_max = first + n_side // 2 - 1
+    k_max = (2 if mode == MODE_CONSECUTIVE else 1) + n_side // 2 - 1
 
     window_periods = _number(raw, "histogram.window_periods", integer=True, lo=1)
     if window_periods is None:
         window_periods = max(3, k_max + 1)
     bin_width = _number(raw, "histogram.bin_width_ns", default=0.128, lo=1e-6)
 
+    satellites = mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED)
+    spacing, reach = ((scenario.intra_delay, scenario.intra_delay) if satellites
+                      else (rep_period, k_max * rep_period))
     whw = _number(raw, "analysis.window_halfwidth_ns", lo=1e-9)
     if whw is None:
         # 5 lifetimes, clipped so integration windows cannot overlap
-        whw = 5.0 * tau_r
-        if mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED):
-            whw = min(whw, 0.4 * scenario.intra_delay)
-        whw = min(whw, 0.45 * rep_period)
-    if k_max * rep_period + whw > window_periods * rep_period:
-        raise ConfigError(
-            f"analysis: side peak {k_max} with window halfwidth {whw} ns does not fit in "
-            f"histogram.window_periods = {window_periods}")
+        whw = min(5.0 * tau_r, (0.4 if satellites else 0.45) * spacing)
+    try:
+        _check_windows(whw, spacing, reach, window_periods * rep_period)
+    except WindowConfigurationError as exc:
+        raise ConfigError(f"analysis.window_halfwidth_ns: {exc} "
+                          f"(histogram.window_periods = {window_periods})") from exc
 
     analytic_only = _get(raw, "model_overrides.analytic_only", default=False)
     if not isinstance(analytic_only, bool):

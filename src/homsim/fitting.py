@@ -50,10 +50,6 @@ class FitResult:
     message: str = ""
     ssr_history: list[float] = field(default_factory=list)
 
-    @property
-    def param_names(self):
-        return tuple(self.parameters)
-
 
 def _numeric_jacobian(residual, p, r0):
     m = p.size
@@ -68,8 +64,11 @@ def _numeric_jacobian(residual, p, r0):
     return J
 
 
+_FTOL = _XTOL = 1e-14  # relative SSR drop and step size that end the iteration
+
+
 def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
-         max_iter=200, ftol=1e-14, xtol=1e-14, on_singular="raise") -> FitResult:
+         max_iter=200, on_singular="raise") -> FitResult:
     """Levenberg-Marquardt fit of model(x, params) to (xdata, ydata).
 
     Parameters
@@ -123,7 +122,7 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
     r = residual(p)
     ssr = float(r @ r)
     history = [ssr]
-    lam = None
+    lam = 1e-3
     converged = False
     accepted = 0
     message = ""
@@ -134,8 +133,6 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
         jtr = J.T @ r
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(initial=1.0), 1.0) * 1e-12
-        if lam is None:
-            lam = 1e-3
         stepped = False
         for _retry in range(60):
             try:
@@ -157,7 +154,7 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
                 accepted += 1
                 lam = max(lam * 0.3, 1e-12)
                 stepped = True
-                if rel_drop < ftol or step_rel < xtol or ssr == 0.0:
+                if rel_drop < _FTOL or step_rel < _XTOL or ssr == 0.0:
                     converged = True
                 break
             lam *= 10.0
@@ -373,11 +370,10 @@ def fit_michelson(points, weights=None) -> FitResult:
         params["a1"], params["a2"] = params["a2"], params["a1"]
 
     notes = [res.message] if res.message else []
-    if res.correlations is not None:
-        c = abs(float(res.correlations[1, 2]))
-        if np.isfinite(c) and c > 0.99:
-            notes.append(f"coherence times degenerate (correlation {c:.3f} > 0.99): "
-                         "the data do not resolve two components")
+    c = abs(float(res.correlations[1, 2]))
+    if np.isfinite(c) and c > 0.99:
+        notes.append(f"coherence times degenerate (correlation {c:.3f} > 0.99): "
+                     "the data do not resolve two components")
     # a log coherence time on its box edge is where the fit stopped, not a
     # fit; damped steps creep up to an edge and stop ~1e-14 short of it
     edges = [b for b in _MICHELSON_BOUNDS[1]

@@ -459,8 +459,7 @@ def _mode_detections(route, scenario, g, pulse_t):
     return np.concatenate(times), np.concatenate(ports)
 
 
-def sample_pair_events(scenario: InterferenceScenario, n: int,
-                       rng: RngSpec | np.random.Generator) -> PairEventBatch:
+def sample_pair_events(scenario: InterferenceScenario, n: int, rng: RngSpec) -> PairEventBatch:
     """Draw n independent beam-splitter pair interactions for the scenario's
     pair physics (frequency difference from the jitter ensemble, arrival
     offset from the deliberate delay plus emission-time jitter).
@@ -468,11 +467,11 @@ def sample_pair_events(scenario: InterferenceScenario, n: int,
     In cross-polarized operation the photons are fully distinguishable: ports
     are independent and the delay density is the no-interference one.
 
-    Passing an RngSpec uses its block-0 stream, the SFC64 generator seeded
-    by SeedSequence(seed, spawn_key=(stream_id, 0)) that a histogram run
-    would start from; pass a Generator to control the stream yourself.
+    Draws from the RngSpec's block-0 stream, the SFC64 generator seeded by
+    SeedSequence(seed, spawn_key=(stream_id, 0)) that a histogram run would
+    start from.
     """
-    g = rng if isinstance(rng, np.random.Generator) else _chunk_rng(rng, 0)
+    g = _chunk_rng(rng, 0)
     tr = scenario.pair.tau_r
     _, dtau, delta, _ = _route_remote(scenario, g, np.zeros(n))
     if scenario.mode == MODE_CROSS_POLARIZED:

@@ -124,6 +124,24 @@ class TestDoublePulseG2:
         with pytest.raises(WindowConfigurationError):
             g2_indist_double_pulse(h, intra_delay=2.0, window_halfwidth=1.1)
 
+    def test_central_variance_floored_at_one_count_as_for_side_peaks(self):
+        # one count in the bin [0.55, 0.65] ns, half inside the +/-0.6 ns
+        # central window: a central area of 0.5 has the variance of 1 count
+        peaks = [(2.0, 5000), (-2.0, 5000), (12.5, 8000), (-12.5, 8000)]
+        h = make_hist(rep_period=12.5, bin_width=0.1, peaks=peaks, peak_decay=0.15)
+        h.counts[np.argmin(np.abs(h.bin_centers() - 0.6))] += 1
+        h.total_events += 1
+        rep = g2_indist_double_pulse(h, intra_delay=2.0, window_halfwidth=0.6)
+        ref = rep.side_average
+        assert rep.central_area == pytest.approx(0.5, rel=1e-12)
+        assert rep.g2_indist_err == pytest.approx(
+            rep.g2_indist * np.sqrt(1.0 / rep.central_area ** 2 + 1.0 / ref), rel=1e-12)
+        # the side-peak estimator floors the same way
+        sides = peak_areas(h, 0.6, 2)
+        assert sides.central_area == rep.central_area
+        assert sides.g2_indist_err == pytest.approx(sides.g2_indist * np.sqrt(
+            1.0 / sides.central_area ** 2 + 0.5 / sides.side_average), rel=1e-12)
+
 
 class TestHistogramInvariants:
     def test_accounting_enforced(self):

@@ -145,6 +145,44 @@ class TestSimulate:
         assert proc.stderr.startswith("error: ") and "side windows contain no counts" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("name, halfwidth", [("double-pulse-rf.json", 1.5),
+                                                 ("remote-qd.json", 7.0)])
+    def test_unusable_window_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                      command, name, halfwidth):
+        # 1.5 ns overlaps the central window from the 2 ns satellites; 7 ns
+        # overlaps the neighbouring side peaks 12.2 ns apart
+        raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+        raw.update({"n_pulses": 2_000_000, "analysis": {"window_halfwidth_ns": halfwidth}})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a config whose window cannot be analysed")
+
+        monkeypatch.setattr("homsim.cli.simulate_histogram", no_simulation)
+        out = tmp_path / "out"
+        if command == "simulate":
+            assert cmd_simulate(cfg, out) == 2
+        else:
+            assert cmd_sweep(cfg, "detuning", "0:1:2", out) == 2
+        assert "analysis.window_halfwidth_ns" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_double_pulse_in_one_period_window(self, tmp_path):
+        # the satellites at +/-2 ns fit a +/-12.5 ns histogram; side peaks
+        # the pulse-pair estimator never reads do not have to
+        raw = json.loads((CONFIG_DIR / "double-pulse-rf.json").read_text(encoding="utf-8"))
+        raw.update({"n_pulses": 20_000, "histogram": {"window_periods": 1}})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert load_config(cfg).window_periods == 1
+        out = tmp_path / "out"
+        assert cmd_simulate(cfg, out) == 0
+        s = json.loads((out / "summary.json").read_text())
+        assert s["effective_config"]["histogram"]["window_periods"] == 1
+        assert s["results"]["g2_indist"]["monte_carlo"] < 0.2
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_pulses=2000)
         blocker = tmp_path / "blocked"
