@@ -8,7 +8,8 @@ peaks at multiples of the repetition period; g2_indist_double_pulse, for
 pulse-pair operation, the sum of the two satellites at +/- the intra-pulse
 delay, because the repetition-period peaks carry extra pair combinations
 there. One window rule, _check_windows, guards both, and config_from_dict
-applies it to the configured geometry before anything is simulated.
+applies it to the configured geometry before anything is simulated; in
+pulse-pair mode the peak spacing it checks is _pulse_pair_spacing.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ def _check_windows(window_halfwidth, spacing, reach, halfspan):
         raise WindowConfigurationError(
             f"the window around the peak at lag {reach} ns reaches {reach + window_halfwidth} ns, "
             f"beyond the histogram range +/-{halfspan} ns")
+
+
+def _pulse_pair_spacing(intra_delay, rep_period):
+    """Distance from the windows a pulse-pair estimate reads (lags 0 and
+    +/- intra_delay d) to the nearest other peak. The unbalanced
+    interferometer delivers photons 0, d and 2d after their pulse, so peaks
+    lie at k*T + j*d for j in -2..2, and the nearest is d, T - d, |T - 2d|
+    or |T - 3d| away."""
+    d, T = intra_delay, rep_period
+    return min(d, abs(T - d), abs(T - 2 * d), abs(T - 3 * d))
 
 
 def _window_sum(hist, center, halfwidth, baseline_per_bin=0.0):
@@ -127,6 +138,7 @@ def g2_indist_double_pulse(hist, intra_delay: float, window_halfwidth: float) ->
     g2 = central / (satellite sum) puts perfectly distinguishable photons at
     0.5 and perfect interference at 0, matching the side-peak convention.
     """
-    _check_windows(window_halfwidth, intra_delay, intra_delay, hist.window_halfspan())
+    _check_windows(window_halfwidth, _pulse_pair_spacing(intra_delay, hist.rep_period),
+                   intra_delay, hist.window_halfspan())
     centers = np.array([+intra_delay, -intra_delay])
     return _ratio(hist, window_halfwidth, centers, centers / hist.rep_period, 1)

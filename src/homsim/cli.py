@@ -1,9 +1,10 @@
 """Command-line entry point: run scenarios, parameter sweeps and curve fits
 from JSON configs, writing deterministic CSV/JSON artifacts.
 
-Exit codes: 0 success, 2 invalid configuration or input data, 3 I/O failure.
-All CSV/JSON outputs are byte-identical across reruns with the same config
-and seed; wall-clock timestamps appear only in run.log.
+Exit codes: 0 success, 2 invalid configuration or input data, 3 I/O failure;
+one wrapper, _exit_codes, owns that contract for all three commands. All
+CSV/JSON outputs are byte-identical across reruns with the same config and
+seed; wall-clock timestamps appear only in run.log.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -29,7 +31,6 @@ from .montecarlo import (
     MODE_CROSS_POLARIZED,
     MODE_DOUBLE_PULSE,
     RNG_ALGORITHM,
-    RngSpec,
     analytic_visibility,
     analytic_visibility_at,
     simulate_histogram,
@@ -61,11 +62,29 @@ class _RunLog:
         return "\n".join(self.lines) + "\n"
 
 
-def _measure_histogram(cfg: ScenarioConfig, rng: RngSpec):
-    """Simulate and extract the peak-area figures for the configured mode.
-    load_config has checked the window geometry; a histogram whose
-    reference windows hold no counts raises ConfigError."""
-    hist = simulate_histogram(cfg.scenario, rng, bin_width=cfg.bin_width,
+def _exit_codes(cmd):
+    """The exit-code contract: a ConfigError prints one error line and
+    returns 2, an OSError (the input readers turn theirs into ConfigError,
+    so only writing raises one) returns 3; anything else is a bug."""
+    @functools.wraps(cmd)
+    def run(*args, **kwargs) -> int:
+        try:
+            return cmd(*args, **kwargs)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+            return 3
+
+    return run
+
+
+def _measure_histogram(cfg: ScenarioConfig):
+    """Simulate with cfg.rng and extract the peak-area figures for the
+    configured mode. load_config has checked the window geometry; a
+    histogram whose reference windows hold no counts raises ConfigError."""
+    hist = simulate_histogram(cfg.scenario, cfg.rng, bin_width=cfg.bin_width,
                               window_periods=cfg.window_periods, n_jobs=cfg.n_jobs)
     try:
         if cfg.scenario.mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED):
@@ -80,6 +99,7 @@ def _measure_histogram(cfg: ScenarioConfig, rng: RngSpec):
 
 
 def _write_text(path: Path, text: str):
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -91,20 +111,18 @@ def _histogram_csv(hist) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_exit_codes
 def cmd_simulate(config_path, out_dir, seed=None) -> int:
     """Run the configured scenario, writing histogram.csv, summary.json and
     run.log into out_dir."""
     log = _RunLog()
-    try:
-        cfg = load_config(config_path)
-        rng = cfg.rng if seed is None else dataclasses.replace(cfg.rng, seed=seed)
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, rng=rng)
-        log.stage("config-loaded", mode=cfg.scenario.mode, n_pulses=cfg.scenario.n_pulses)
-        hist, report = _measure_histogram(cfg, rng)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(config_path)
+    if seed is not None:
+        if not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
+        cfg = dataclasses.replace(cfg, rng=dataclasses.replace(cfg.rng, seed=seed))
+    log.stage("config-loaded", mode=cfg.scenario.mode, n_pulses=cfg.scenario.n_pulses)
+    hist, report = _measure_histogram(cfg)
     log.stage("simulated", pairs=hist.total_events)
     g2_mc = report.g2_indist
     vis_ref = analytic_visibility(cfg.scenario)
@@ -117,8 +135,8 @@ def cmd_simulate(config_path, out_dir, seed=None) -> int:
             "package": "homsim",
             "version": __version__,
             "rng_algorithm": RNG_ALGORITHM,
-            "seed": rng.seed,
-            "stream_id": rng.stream_id,
+            "seed": cfg.rng.seed,
+            "stream_id": cfg.rng.stream_id,
             "chunk_pulses": CHUNK_PULSES,
             "energy_conversion_uev_per_rad_per_ns": HBAR_UEV_NS,
         },
@@ -142,19 +160,14 @@ def cmd_simulate(config_path, out_dir, seed=None) -> int:
         },
     }
     log.stage("analyzed", g2=round(g2_mc, 6))
-    try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if "histogram.csv" in cfg.outputs:
-            _write_text(out / "histogram.csv", _histogram_csv(hist))
-        if "summary.json" in cfg.outputs:
-            _write_text(out / "summary.json", _json_text(summary))
-        log.stage("written")
-        if "run.log" in cfg.outputs:
-            _write_text(out / "run.log", log.text())
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 3
+    out = Path(out_dir)
+    if "histogram.csv" in cfg.outputs:
+        _write_text(out / "histogram.csv", _histogram_csv(hist))
+    if "summary.json" in cfg.outputs:
+        _write_text(out / "summary.json", _json_text(summary))
+    log.stage("written")
+    if "run.log" in cfg.outputs:
+        _write_text(out / "run.log", log.text())
     return 0
 
 
@@ -203,6 +216,7 @@ def _parse_range(text):
     return start, stop, steps
 
 
+@_exit_codes
 def cmd_sweep(config_path, axis, sweep_range, out_dir) -> int:
     """Sweep one scenario parameter over sweep_range, a start:stop:steps
     string, writing sweep.csv with columns
@@ -213,45 +227,38 @@ def cmd_sweep(config_path, axis, sweep_range, out_dir) -> int:
     point is simulated with an independent RNG stream (stream_id + point
     index)."""
     log = _RunLog()
-    try:
-        cfg = load_config(config_path)
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-        start, stop, steps = _parse_range(sweep_range)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.linspace(start, stop, steps)
-        delta_tau, delta0, sigma_g = _axis_pairs(cfg, axis, values)
-        if cfg.analytic_only:
-            vis = analytic_visibility_at(cfg.scenario, delta_tau, delta0, sigma_g)
-            rows = zip(values.tolist(), vis.tolist(), (0.5 * (1.0 - vis)).tolist(),
-                       [0.0] * steps)
-            log.stage("evaluated", points=steps)
-        else:
-            rows = []
-            points = zip(values.tolist(), delta_tau.tolist(), delta0.tolist(), sigma_g.tolist())
-            for i, (v, dt, d0, sg) in enumerate(points):
-                pair = dataclasses.replace(cfg.scenario.pair, delta_tau=dt, delta0=d0, sigma_g=sg)
-                point_cfg = dataclasses.replace(
-                    cfg, scenario=dataclasses.replace(cfg.scenario, pair=pair))
-                rng = dataclasses.replace(cfg.rng, stream_id=cfg.rng.stream_id + i)
-                _, report = _measure_histogram(point_cfg, rng)
-                g2 = float(report.g2_indist)
-                rows.append((v, 1.0 - 2.0 * g2, g2, float(report.g2_indist_err)))
-                log.stage("point", axis_value=v, g2=round(g2, 6))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(config_path)
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
+    start, stop, steps = _parse_range(sweep_range)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(start, stop, steps)
+    delta_tau, delta0, sigma_g = _axis_pairs(cfg, axis, values)
+    if cfg.analytic_only:
+        vis = analytic_visibility_at(cfg.scenario, delta_tau, delta0, sigma_g)
+        rows = zip(values.tolist(), vis.tolist(), (0.5 * (1.0 - vis)).tolist(),
+                   [0.0] * steps)
+        log.stage("evaluated", points=steps)
+    else:
+        if cfg.rng.stream_id + steps - 1 >= 2 ** 32:
+            raise ConfigError(f"rng.stream_id: {steps} sweep points need stream ids up to "
+                              f"{cfg.rng.stream_id + steps - 1}, past the 32-bit limit")
+        rows = []
+        points = zip(values.tolist(), delta_tau.tolist(), delta0.tolist(), sigma_g.tolist())
+        for i, (v, dt, d0, sg) in enumerate(points):
+            pair = dataclasses.replace(cfg.scenario.pair, delta_tau=dt, delta0=d0, sigma_g=sg)
+            _, report = _measure_histogram(dataclasses.replace(
+                cfg, scenario=dataclasses.replace(cfg.scenario, pair=pair),
+                rng=dataclasses.replace(cfg.rng, stream_id=cfg.rng.stream_id + i)))
+            g2 = float(report.g2_indist)
+            rows.append((v, 1.0 - 2.0 * g2, g2, float(report.g2_indist_err)))
+            log.stage("point", axis_value=v, g2=round(g2, 6))
 
     lines = ["axis_value,visibility,g2_indist,stat_error"]
     lines += [f"{v!r},{vis!r},{g2!r},{err!r}" for v, vis, g2, err in rows]
-    try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-        _write_text(out / "run.log", log.text())
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 3
+    out = Path(out_dir)
+    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
+    _write_text(out / "run.log", log.text())
     return 0
 
 
@@ -293,7 +300,7 @@ def _load_xy_csv(path):
                     raise ConfigError(
                         f"{path}: row {i}: inconsistent column count ({len(vals)} vs {n_cols})")
                 rows.append(vals)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no numeric data rows found")
@@ -308,19 +315,16 @@ _FIT_MODELS = {
 }
 
 
+@_exit_codes
 def cmd_fit(data_path, model, out_path) -> int:
     """Fit the named model to a two-column CSV, writing the result JSON."""
+    if model not in _FIT_MODELS:
+        raise ConfigError(f"unknown fit model {model!r}; valid: {sorted(_FIT_MODELS)}")
+    points, weights = _load_xy_csv(data_path)
     try:
-        if model not in _FIT_MODELS:
-            raise ConfigError(f"unknown fit model {model!r}; valid: {sorted(_FIT_MODELS)}")
-        points, weights = _load_xy_csv(data_path)
-        try:
-            result = _FIT_MODELS[model](points, weights=weights)
-        except (ValueError, SingularModelError) as exc:
-            raise ConfigError(f"fit failed: {exc}") from exc
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        result = _FIT_MODELS[model](points, weights=weights)
+    except (ValueError, SingularModelError) as exc:
+        raise ConfigError(f"fit failed: {exc}") from exc
     payload = {
         "model": model,
         "parameters": result.parameters,
@@ -330,14 +334,7 @@ def cmd_fit(data_path, model, out_path) -> int:
         "iterations": result.iterations,
         "message": result.message,
     }
-    try:
-        out = Path(out_path)
-        if out.parent and not out.parent.exists():
-            out.parent.mkdir(parents=True, exist_ok=True)
-        _write_text(out, _json_text(payload))
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 3
+    _write_text(Path(out_path), _json_text(payload))
     return 0
 
 

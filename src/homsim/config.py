@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .analysis import WindowConfigurationError, _check_windows
+from .analysis import WindowConfigurationError, _check_windows, _pulse_pair_spacing
 from .model import HBAR_UEV_NS, PairSpec
 from .montecarlo import (
     CHUNK_PULSES,
@@ -191,8 +191,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     bin_width = _number(raw, "histogram.bin_width_ns", default=0.128, lo=1e-6)
 
     satellites = mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED)
-    spacing, reach = ((scenario.intra_delay, scenario.intra_delay) if satellites
-                      else (rep_period, k_max * rep_period))
+    spacing, reach = ((_pulse_pair_spacing(scenario.intra_delay, rep_period), scenario.intra_delay)
+                      if satellites else (rep_period, k_max * rep_period))
     whw = _number(raw, "analysis.window_halfwidth_ns", lo=1e-9)
     if whw is None:
         # 5 lifetimes, clipped so integration windows cannot overlap
@@ -231,7 +231,7 @@ def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

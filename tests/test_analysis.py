@@ -124,6 +124,25 @@ class TestDoublePulseG2:
         with pytest.raises(WindowConfigurationError):
             g2_indist_double_pulse(h, intra_delay=2.0, window_halfwidth=1.1)
 
+    @staticmethod
+    def pulse_pair_hist(delay):
+        """Equal distinguishable peaks at k*T + j*delay, j in -2..2, T = 12.5 ns."""
+        peaks = [(k * 12.5 + j * delay, 10000) for k in (-1, 0, 1) for j in range(-2, 3)]
+        return make_hist(rep_period=12.5, bin_width=0.05, peaks=peaks, peak_decay=0.15)
+
+    @pytest.mark.parametrize("delay, halfwidth", [(4.0, 1.9), (5.0, 2.4)])
+    def test_window_clear_of_every_other_peak(self, delay, halfwidth):
+        # the peak at T - 3d (d = 4) or T - 2d (d = 5) lies 0.5 or 2.5 ns
+        # from a read window, so these windows below d/2 still reach it
+        with pytest.raises(WindowConfigurationError, match="peak spacing"):
+            g2_indist_double_pulse(self.pulse_pair_hist(delay), delay, halfwidth)
+
+    def test_window_below_half_the_nearest_spacing_reads_the_control(self):
+        # d = 5 ns: central area equals each satellite once 1 ns windows
+        # stay clear of the peaks 2.5 ns away
+        rep = g2_indist_double_pulse(self.pulse_pair_hist(5.0), 5.0, 1.0)
+        assert rep.g2_indist == pytest.approx(0.5, abs=0.01)
+
     def test_central_variance_floored_at_one_count_as_for_side_peaks(self):
         # one count in the bin [0.55, 0.65] ns, half inside the +/-0.6 ns
         # central window: a central area of 0.5 has the variance of 1 count

@@ -183,6 +183,39 @@ class TestSimulate:
         assert s["effective_config"]["histogram"]["window_periods"] == 1
         assert s["results"]["g2_indist"]["monte_carlo"] < 0.2
 
+    @pytest.mark.parametrize("delay, halfwidth", [(4.0, 1.9), (5.0, 2.4)])
+    def test_pulse_pair_window_reaching_other_peaks_exit_2_at_load(
+            self, tmp_path, capsys, monkeypatch, delay, halfwidth):
+        # at T = 12.5 ns the peak at T - 3d (d = 4) lies 0.5 ns from the
+        # satellite at d, the one at T - 2d (d = 5) 2.5 ns from lags 0 and d;
+        # both windows are below d/2 but read them
+        raw = json.loads((CONFIG_DIR / "cross-polarized.json").read_text(encoding="utf-8"))
+        raw.update({"intra_delay_ns": delay, "analysis": {"window_halfwidth_ns": halfwidth}})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a config whose window reads other peaks")
+
+        monkeypatch.setattr("homsim.cli.simulate_histogram", no_simulation)
+        out = tmp_path / "out"
+        assert cmd_simulate(cfg, out) == 2
+        assert "analysis.window_halfwidth_ns" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pulse_pair_window_clear_of_other_peaks_reads_the_control(self, tmp_path):
+        # d = 5 ns: the nearest other peak is 2.5 ns away, so 1 ns windows
+        # read only the central peak and the satellites
+        raw = json.loads((CONFIG_DIR / "cross-polarized.json").read_text(encoding="utf-8"))
+        raw.update({"intra_delay_ns": 5.0, "n_pulses": 200_000, "rng": {"seed": 1, "stream_id": 0},
+                    "analysis": {"window_halfwidth_ns": 1.0}})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cmd_simulate(cfg, out) == 0
+        g2 = json.loads((out / "summary.json").read_text())["results"]["g2_indist"]
+        assert abs(g2["monte_carlo"] - 0.5) < 4 * g2["stat_error"]
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_pulses=2000)
         blocker = tmp_path / "blocked"
@@ -465,6 +498,73 @@ class TestMain:
         rc = main(["sweep", "--config", str(cfg), "--axis", "sigma_g",
                    "--range=1.0:3.0:3", "--out", str(tmp_path / "s")])
         assert rc == 0
+
+
+class TestExitContract:
+    """Every command answers bad input with exit 2 and one error line, never
+    a traceback, and a failed write with exit 3."""
+
+    @pytest.mark.parametrize("args, names", [
+        (["simulate", "--config", "{remote}", "--seed=-1"], "--seed"),
+        (["simulate", "--config", "{remote}", f"--seed={2 ** 64}"], "--seed"),
+        (["sweep", "--config", "{last_stream}", "--axis", "detuning", "--range=0:1:3"],
+         "rng.stream_id"),
+        (["simulate", "--config", "{not_utf8}"], "{not_utf8}"),
+        (["sweep", "--config", "{not_utf8}", "--axis", "detuning", "--range=0:1:3"], "{not_utf8}"),
+        (["fit", "--model", "hom_dip", "--data", "{not_utf8}"], "{not_utf8}"),
+    ], ids=["seed-negative", "seed-2**64", "sweep-stream-id", "simulate-not-utf8",
+            "sweep-not-utf8", "fit-not-utf8"])
+    def test_bad_input_exit_2_with_one_error_line(self, tmp_path, args, names):
+        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+        raw.update({"n_pulses": 2000, "rng": {"seed": 1, "stream_id": 2 ** 32 - 1}})
+        paths = {"remote": str(CONFIG_DIR / "remote-qd.json"),
+                 "last_stream": str(tmp_path / "last-stream.json"),
+                 "not_utf8": str(tmp_path / "input.dat")}
+        Path(paths["last_stream"]).write_text(json.dumps(raw), encoding="utf-8")
+        Path(paths["not_utf8"]).write_bytes(b"\xff1,2\n")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "homsim.cli",
+                               *(a.format(**paths) for a in args), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and names.format(**paths) in line
+        assert not out.exists()
+
+    def test_sweep_checks_stream_ids_before_any_point(self, tmp_path, capsys, monkeypatch):
+        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+        raw.update({"n_pulses": 2000, "rng": {"seed": 1, "stream_id": 2 ** 32 - 3}})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a point of a sweep that cannot finish")
+
+        monkeypatch.setattr("homsim.cli.simulate_histogram", no_simulation)
+        out = tmp_path / "out"
+        # the fourth point would need stream id 2**32
+        assert cmd_sweep(cfg, "detuning", "0:1:4", out) == 2
+        assert "rng.stream_id" in capsys.readouterr().err
+        assert not out.exists()
+        # three points end on the last valid stream id
+        monkeypatch.undo()
+        assert cmd_sweep(cfg, "detuning", "0:1:3", out) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("command", ["sweep", "fit"])
+    def test_unwritable_output_exit_3(self, tmp_path, capsys, command):
+        # simulate: TestSimulate.test_unwritable_output_exit_3
+        blocker = tmp_path / "blocked"
+        blocker.write_text("file, not a directory", encoding="utf-8")
+        out = blocker / "sub"
+        if command == "sweep":
+            cfg = small_config(tmp_path, model_overrides={"analytic_only": True})
+            assert cmd_sweep(cfg, "sigma_g", "1.0:3.0:3", out) == 3
+        else:
+            assert cmd_fit(CONFIG_DIR / "lifetime-example.csv", "exp_decay", out / "f.json") == 3
+        assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 class TestBundledConfigs:
