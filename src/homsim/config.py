@@ -193,6 +193,13 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     satellites = mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED)
     spacing, reach = ((_pulse_pair_spacing(scenario.intra_delay, rep_period), scenario.intra_delay)
                       if satellites else (rep_period, k_max * rep_period))
+    if spacing == 0:  # d = T/2 or T/3: a peak of the next pulse lies on a window
+        d = scenario.intra_delay
+        k, peak = ((2, "central peak at lag 0") if rep_period == 2 * d
+                   else (3, "satellite at lag +intra_delay_ns"))
+        default = "" if "intra_delay_ns" in raw else " (the default, min(2, rep_period_ns / 2))"
+        raise ConfigError(f"intra_delay_ns: {d} ns{default} is rep_period_ns / {k}, so the peak at lag "
+                          f"rep_period_ns - 2 * intra_delay_ns coincides with the {peak}")
     whw = _number(raw, "analysis.window_halfwidth_ns", lo=1e-9)
     if whw is None:
         # 5 lifetimes, clipped so integration windows cannot overlap

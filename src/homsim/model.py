@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _erfcx_array, _scaled_erfcx, erfcx
+from .specfun import _erfcx_array, _scaled_erfcx
 
 __all__ = [
     "HBAR_UEV_NS",
@@ -44,8 +44,6 @@ __all__ = [
     "visibility_from_g2",
     "time_jitter_overlap_factor",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # hbar in microelectronvolt-nanoseconds: converts energy detunings in ueV to
 # angular frequencies in rad/ns (omega = E / hbar).
@@ -236,55 +234,41 @@ def visibility_inhom_direct(tau_r: float, sigma_g, delta0=0.0):
     bad = ~np.isfinite(delta0)
     if bad.any():
         raise ValueError(f"delta0 must be finite, got {delta0[bad][0]}")
+    out = _voigt(tau_r, sigma_g, delta0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _voigt(tau_r, sigma_g, delta0):
+    """visibility_inhom_direct without its checks: the one Voigt kernel
+    behind every closed form of the remote-pair visibility. At sigma_g = 0
+    the continued fraction's scale is 0 and it returns the Lorentzian
+    1/(1 + tau_r^2 delta0^2) itself. Takes float arrays (or NumPy floats)
+    of one shape, with tau_r finite and > 0, sigma_g >= 0, delta0 finite."""
     with np.errstate(over="ignore"):
         a, s = tau_r * delta0, 2.0 * tau_r * sigma_g
     # V < 1e-300 once either product leaves the float range
     out = np.zeros(a.shape)
     inside = np.isfinite(a) & np.isfinite(s)
     out[inside] = _scaled_erfcx(1.0 - 1j * a[inside], s[inside]).real
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def coherence_integral(tau_r: float, sigma: float) -> float:
     """Operational coherence time of a lifetime-limited line with Gaussian
     frequency jitter: integral of |g1|^2 with
     g1(t) = exp(-|t|/(2 tau_r)) * exp(-sigma^2 t^2 / 2). Closed form
-    (sqrt(pi)/sigma) * erfcx(1/(2 sigma tau_r)); reduces to 2 tau_r as
-    sigma -> 0.
+    (sqrt(pi)/sigma) * erfcx(1/(2 sigma tau_r)); 2 tau_r at sigma = 0.
 
     With sigma = sigma_g this is the same integral as the remote-pair
-    visibility: visibility_inhom_direct(tau_r, sigma_g) equals
-    coherence_integral(tau_r, sigma_g) / (2 tau_r) for identical emitters
-    (delta0 = 0, delta_tau = 0)."""
-    if not tau_r > 0:
-        raise ValueError(f"tau_r must be > 0, got {tau_r}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return 2.0 * tau_r
-    return (_SQRT_PI / sigma) * erfcx(1.0 / (2.0 * sigma * tau_r))
-
-
-def _solve_scaled_overlap(target: float) -> float:
-    """Solve sqrt(pi) * x * erfcx(x) = target for x > 0 (the left side is
-    strictly increasing from 0 to 1). Bisection to ~1e-14 relative."""
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must lie in (0, 1), got {target}")
-    g = lambda x: _SQRT_PI * x * erfcx(x) - target
-    lo, hi = 1e-14, 1.0
-    while g(hi) < 0:
-        hi *= 2.0
-        if hi > 1e16:
-            raise RuntimeError("failed to bracket the overlap equation root")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)  # log-space bisection: x spans many decades
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * lo:
-            break
-    return math.sqrt(lo * hi)
+    visibility, and it is evaluated so: coherence_integral(tau_r, sigma_g)
+    = 2 tau_r * visibility_inhom_direct(tau_r, sigma_g) for identical
+    emitters (delta0 = 0, delta_tau = 0)."""
+    # every check is written so that NaN fails it
+    if not (tau_r > 0 and math.isfinite(tau_r)):
+        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return 2.0 * tau_r * float(_voigt(tau_r, np.float64(sigma), np.float64(0.0)))
 
 
 def sigma_from_coherence(tau_r: float, tau_c_target: float) -> float:
@@ -305,11 +289,26 @@ def sigma_from_coherence(tau_r: float, tau_c_target: float) -> float:
 
 def sigma_for_visibility(tau_r: float, visibility: float) -> float:
     """Jitter scale sigma_g at which the directly normalized remote-pair
-    visibility equals the given value (inverse of visibility_inhom_direct)."""
-    if not tau_r > 0:
-        raise ValueError(f"tau_r must be > 0, got {tau_r}")
-    x = _solve_scaled_overlap(visibility)
-    return 1.0 / (2.0 * x * tau_r)
+    visibility equals the given value in (0, 1): the inverse of
+    visibility_inhom_direct at delta0 = 0, by bisection to ~1e-14
+    relative. A tau_r that is not finite and > 0 raises ValueError."""
+    # every check is written so that NaN fails it
+    if not (tau_r > 0 and math.isfinite(tau_r)):
+        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
+    if not 0.0 < visibility < 1.0:
+        raise ValueError(f"visibility must lie in (0, 1), got {visibility}")
+    # V depends on u = tau_r * sigma_g alone; it rounds to 1 at u = 2^-40
+    # and is 0 at u = 2^1023, where 2 u overflows
+    v = lambda u: float(_voigt(1.0, np.float64(u), np.float64(0.0)))
+    lo, hi = 2.0 ** -40, 2.0 ** 1023
+    while hi - lo > 1e-14 * lo:
+        # log-space bisection: u spans many decades, and lo * hi would overflow
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if v(mid) > visibility:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo) * math.sqrt(hi) / tau_r
 
 
 def michelson_contrast(dt, params: EmitterParams):

@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import PairSpec, time_jitter_overlap_factor, visibility_inhom_direct
+from .model import PairSpec, _voigt, time_jitter_overlap_factor
 
 __all__ = [
     "MODE_CONSECUTIVE",
@@ -643,9 +643,10 @@ def analytic_visibility_at(scenario: InterferenceScenario, delta_tau, delta0, si
     """Model prediction for the peak-area interference visibility of the
     scenario with its pair's arrival offset, mean detuning and jitter scale
     replaced by delta_tau, delta0 and sigma_g, in closed form: the
-    detuning/jitter ensemble average (visibility_inhom_direct, or
-    1/(1 + tau_r^2 delta0^2) where sigma_g = 0) times the arrival-time
-    overlap factor from deliberate delay and emission jitter.
+    detuning/jitter ensemble average (the Voigt overlap of
+    visibility_inhom_direct, which is 1/(1 + tau_r^2 delta0^2) at
+    sigma_g = 0) times the arrival-time overlap factor from deliberate
+    delay and emission jitter.
 
     Elementwise over delta_tau, delta0 and sigma_g, scalars or arrays that
     broadcast together: scalars give a float, arrays a float array. A
@@ -660,13 +661,8 @@ def analytic_visibility_at(scenario: InterferenceScenario, delta_tau, delta0, si
         out = np.zeros(delta_tau.shape)
     else:
         tau_r = scenario.pair.tau_r
-        f_freq = np.empty(sigma_g.shape)
-        jittered = sigma_g > 0
-        f_freq[jittered] = visibility_inhom_direct(tau_r, sigma_g[jittered], delta0[jittered])
-        d = tau_r * delta0[~jittered]
-        with np.errstate(over="ignore"):
-            f_freq[~jittered] = 1.0 / (1.0 + d * d)
-        out = time_jitter_overlap_factor(tau_r, delta_tau, scenario.emission_jitter) * f_freq
+        out = (time_jitter_overlap_factor(tau_r, delta_tau, scenario.emission_jitter)
+               * _voigt(tau_r, sigma_g, delta0))
     return float(out) if out.ndim == 0 else out
 
 

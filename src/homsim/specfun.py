@@ -1,8 +1,9 @@
 """Special functions used by the interference model.
 
 Everything here is generic numerics with no photon physics: the scaled
-complementary error function exp(z^2)*erfc(z), for real x >= 0 and for
-complex z with Re z >= 0. It stays finite where the plain product
+complementary error function exp(z^2)*erfc(z) for complex z with
+Re z >= 0, and erfcx, its real axis x >= 0. One array kernel,
+_erfcx_array, evaluates both; it stays finite where the plain product
 overflows.
 """
 
@@ -19,9 +20,6 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Crossover between direct evaluation exp(x^2)*erfc(x) (safe: exp(16) ~ 9e6)
-# and the Laplace continued fraction, which converges rapidly for x >= 4.
-_ERFCX_CF_CROSSOVER = 4.0
 _ERFCX_CF_LEVELS = 40
 # Off the real axis the continued fraction converges slowest on the imaginary
 # axis; at |z| >= 8 its 40 levels are accurate to about 2e-16 for every
@@ -45,31 +43,25 @@ def _weideman_coefficients(n):
 _WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
 
 
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) * erfc(x) for x >= 0.
-
-    For x below 4 the product is formed directly (exp(x^2) cannot overflow
-    there); above that the Laplace continued fraction
-
-        erfcx(x) = 1 / (sqrt(pi) * (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))))
-
-    is evaluated bottom-up, which never overflows and decays like
-    1/(x*sqrt(pi)) as x grows.
+def erfcx(x):
+    """Scaled complementary error function exp(x^2) * erfc(x) for real
+    x >= 0: the real axis of erfcx_complex's kernel, which never overflows
+    and decays like 1/(x*sqrt(pi)) as x grows. Elementwise like
+    erfcx_complex: a scalar gives a float, an array a float array, and a
+    single element that is not finite and >= 0 raises ValueError.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"erfcx requires finite input, got {x}")
-    if x < 0.0:
-        raise ValueError(f"erfcx is defined for x >= 0 only, got {x}")
-    if x < _ERFCX_CF_CROSSOVER:
-        return math.exp(x * x) * math.erfc(x)
-    return 1.0 / (_SQRT_PI * _laplace_cf(x))
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= 0.0) & np.isfinite(x))
+    if bad.any():
+        raise ValueError(f"erfcx requires finite x >= 0, got {x[bad][0]}")
+    out = _erfcx_array(x.astype(complex)).real
+    return float(out) if out.ndim == 0 else out
 
 
 def _laplace_cf(w, h=1.0):
     """Bottom-up value of w + (h/2)/(w + h/(w + (3h/2)/(w + ...))) over
-    40 levels, for real w > 0 or complex w with Re w >= 0; elementwise
-    over arrays of w and h.
+    40 levels, for complex w with Re w >= 0; elementwise over arrays of
+    w and h.
 
     With h = 1 this is the denominator of erfcx(z) = 1/(sqrt(pi) * cf(z));
     for z = x*w it scales as cf(z) = x * cf(w, 1/x^2) (see _scaled_erfcx).
@@ -92,8 +84,8 @@ def erfcx_complex(z):
         erfcx(z) = 2 p(Z)/(L + z)^2 + 1/(sqrt(pi) (L + z)),
 
     whose coefficients are computed once at import; from there out it is
-    the Laplace continued fraction shared with erfcx. Both agree with
-    mpmath to about 1e-15 relative; on the real axis they agree with erfcx.
+    the Laplace continued fraction. Both agree with mpmath to about 1e-15
+    relative; erfcx is the real axis of the same kernel.
     Scalar input gives a Python complex, array input a complex array of the
     same shape; a single element that is not finite or has Re z < 0 raises
     ValueError.
@@ -136,10 +128,12 @@ def _scaled_erfcx(w, s):
 
     Where |x * w| >= 8 with s < 1, the only case in which x * w can
     overflow (s may be 0), the continued fraction runs on w with the scale
-    carried in its coefficients: sqrt(pi) * x * erfcx(x * w) = 1/cf(w, s^2).
+    carried in its coefficients: sqrt(pi) * x * erfcx(x * w) = 1/cf(w, s^2),
+    which is 1/w at s = 0.
     """
     out = np.empty_like(w)
-    scaled = (s < 1.0) & (np.abs(w) >= _ERFCX_COMPLEX_CF_RADIUS * s)
+    # |w| / 8 is exact where 8 * s could overflow
+    scaled = (s < 1.0) & (np.abs(w) / _ERFCX_COMPLEX_CF_RADIUS >= s)
     if scaled.any():
         ss = s[scaled]
         out[scaled] = 1.0 / _laplace_cf(w[scaled], ss * ss)

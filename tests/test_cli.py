@@ -203,6 +203,30 @@ class TestSimulate:
         assert "analysis.window_halfwidth_ns" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, update", [
+        ("double-pulse-rf.json", {"rep_period_ns": 3.0}),  # default d = 1.5 = T/2
+        ("double-pulse-rf.json", {"rep_period_ns": 4.0}),  # default d = 2 = T/2
+        ("double-pulse-rf.json", {"rep_period_ns": 6.0}),  # default d = 2 = T/3
+        ("cross-polarized.json", {"intra_delay_ns": 12.5 / 3})])
+    def test_coinciding_pulse_pair_peaks_blame_intra_delay(self, tmp_path, capsys, monkeypatch,
+                                                            name, update):
+        raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+        if "intra_delay_ns" not in update:
+            del raw["intra_delay_ns"], raw["analysis"]
+        raw.update(update)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a config whose peaks coincide")
+
+        monkeypatch.setattr("homsim.cli.simulate_histogram", no_simulation)
+        assert cmd_simulate(cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: intra_delay_ns: ") and "coincides with the" in err
+        assert "window" not in err
+        assert ("(the default" in err) == ("intra_delay_ns" not in update)
+
     def test_pulse_pair_window_clear_of_other_peaks_reads_the_control(self, tmp_path):
         # d = 5 ns: the nearest other peak is 2.5 ns away, so 1 ns windows
         # read only the central peak and the satellites

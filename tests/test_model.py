@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -369,6 +370,12 @@ class TestInhomVisibility:
                               (1e10, 1e300, 1e300)):
             assert visibility_inhom_direct(tau_r, sg, d0) == 0.0
 
+    def test_largest_jitter_in_float_range_warns_of_no_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = visibility_inhom_direct(1.0, 2e307)
+        assert v == pytest.approx(math.sqrt(math.pi) / 4e307, rel=1e-14)
+
     def test_distinguishable_limit(self):
         pair = PairSpec(tau_r=0.67, sigma_g=1e5)
         assert visibility_inhom_quadrature(pair) == pytest.approx(0.0, abs=1e-4)
@@ -399,6 +406,17 @@ class TestInhomVisibility:
         assert visibility_inhom_direct(0.67, sg) == pytest.approx(0.364, abs=1e-9)
         assert visibility_inhom_quadrature(PairSpec(tau_r=0.67, sigma_g=sg)) == pytest.approx(
             0.364, abs=1e-8)
+
+    @pytest.mark.parametrize("v", [1e-12, 1e-3, 0.364, 1 - 1e-9])
+    def test_inversion_round_trip(self, v):
+        assert visibility_inhom_direct(0.67, sigma_for_visibility(0.67, v)) == pytest.approx(v, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_input_rejected(self, bad):
+        for call in (lambda: coherence_integral(0.67, bad), lambda: coherence_integral(bad, 1.0),
+                     lambda: sigma_for_visibility(0.67, bad), lambda: sigma_for_visibility(bad, 0.364)):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestSigmaFromCoherence:

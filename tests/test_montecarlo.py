@@ -254,7 +254,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.8.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.8.1"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "98642e529a70d11e71c75dabe2e6ec8f844f459e470054c026c34c03ce3ba19c",
     (MODE_REMOTE, True): "03a2d9c04ebb74c3fa906c0cd2839a4dc239df51cbf69649b542191babc14ecc",
@@ -712,6 +712,21 @@ class TestAnalyticReferences:
                     (0.0, [float("inf"), 0.0], 0.0), (0.0, 0.0, [0.0, float("nan")])):
             with pytest.raises(ValueError):
                 analytic_visibility_at(scn, *bad)
+
+    def test_visibility_at_zero_jitter_is_the_lorentzian(self):
+        # sigma_g = 0 runs through the Voigt kernel like every other row;
+        # the reference is exact for the product a = tau_r delta0 it sees.
+        # Below the smallest normal float the tolerance is absolute, and
+        # where 1/a^2 underflows even the subnormals the value is 0
+        scn = remote_scenario(1)
+        tau_r = scn.pair.tau_r
+        up = np.concatenate([np.geomspace(1e-8, 1e300, 3001), [1e155, 1e160, 1e162, 1e200]])
+        d0 = np.concatenate([np.linspace(-20.0, 20.0, 4001), up, -up])
+        v = analytic_visibility_at(scn, 0.0, d0, 0.0)
+        with mpmath.workdps(40):
+            ref = np.array([float(1 / (1 + mpmath.mpf(tau_r * d) ** 2)) for d in d0])
+        assert np.all(np.abs(v - ref) <= 4.5e-16 * np.maximum(ref, np.finfo(float).tiny))
+        assert np.all(v[np.abs(tau_r * d0) > 1e162] == 0.0)
 
     def test_jitter_factorization(self):
         # emission jitter multiplies the frequency-ensemble visibility

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -34,6 +35,16 @@ class TestPublicSurface:
         for path in SRC.rglob("*"):
             if path.is_file() and "__pycache__" not in path.parts:
                 assert "oracles_quadrature" not in path.read_text(encoding="utf-8"), path
+
+    def test_package_does_not_call_math_erfc(self):
+        # erfcx is the one error-function evaluator: exp(x*x) * math.erfc(x)
+        # overflows where its kernel does not, and a second one would drift
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "erfc"
+                            and isinstance(node.value, ast.Name) and node.value.id == "math"), path
+                assert not (isinstance(node, ast.ImportFrom) and node.module == "math"
+                            and any(a.name == "erfc" for a in node.names)), path
 
 
 class TestImportCost:

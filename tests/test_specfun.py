@@ -23,8 +23,8 @@ def erfc_series_reference(x, dps=50):
 
 
 class TestErfc:
-    """math.erfc, which erfcx calls below its crossover, against the
-    series oracle."""
+    """math.erfc against the series oracle: the independent reference that
+    erfcx's identity tests below compare with (the package never calls it)."""
 
     def test_zero(self):
         assert math.erfc(0.0) == 1.0
@@ -73,7 +73,8 @@ class TestErfcx:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_crossover_consistent_with_oracle(self):
-        # both evaluation branches agree with the oracle right at the switch
+        # the kernel has no switch at x = 4 (it switches at 8), but erfcx
+        # must agree with the oracle across it all the same
         for x in (3.999999999, 4.0, 4.000000001):
             with mpmath.workdps(40):
                 ref = float(mpmath.erfc(x) * mpmath.exp(mpmath.mpf(x) ** 2))
@@ -84,6 +85,25 @@ class TestErfcx:
             with mpmath.workdps(40):
                 ref = float(mpmath.erfc(x) * mpmath.exp(mpmath.mpf(x) ** 2))
             assert erfcx(float(x)) == pytest.approx(ref, rel=1e-12)
+
+    def test_array_against_mpmath(self):
+        # twelve decades in one array call; 8 +- 1e-6 straddles the kernel's
+        # switch from the rational expansion to the continued fraction. The
+        # worst error measured is 7.8e-16 on this grid (1.02e-15 near x = 0.65
+        # on a denser one)
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 241), [8.0 - 1e-6, 8.0, 8.0 + 1e-6]])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)) for x in xs])
+        values = erfcx(xs)
+        assert values.dtype == float and values.shape == xs.shape
+        assert np.max(np.abs(values - ref) / ref) < 2e-15
+
+    def test_scalar_gives_float_and_one_bad_element_raises(self):
+        assert type(erfcx(1.0)) is float
+        assert type(erfcx(np.float64(1.0))) is float
+        for bad in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                erfcx(np.array([0.5, bad, 2.0]))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -122,9 +142,8 @@ class TestErfcxComplex:
             assert scalar == pytest.approx(values[i], rel=1e-15)
 
     def test_real_axis_matches_erfcx(self):
-        # erfcx itself is off mpmath by up to 1.02e-15 near x = 3.3, where
-        # exp(x*x) magnifies the rounding of x*x, so the two may differ by
-        # the sum of both errors
+        # erfcx is the real axis of the same kernel, so the two agree
+        # exactly; 2e-15 is the bound either holds against mpmath
         for x in np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 201)]):
             v = erfcx_complex(complex(x))
             assert v.imag == 0.0
