@@ -213,6 +213,8 @@ def _parse_range(text):
         raise ConfigError(f"--range {text!r}: {exc}") from exc
     if steps < 1:
         raise ConfigError(f"--range steps must be >= 1, got {steps}")
+    if steps > 2 ** 53:  # linspace counts its steps in float64, exact up to 2**53
+        raise ConfigError(f"--range steps must be <= 2**53, got {steps}")
     return start, stop, steps
 
 
@@ -231,8 +233,11 @@ def cmd_sweep(config_path, axis, sweep_range, out_dir) -> int:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
     start, stop, steps = _parse_range(sweep_range)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.linspace(start, stop, steps)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(start, stop, steps)
+    except MemoryError:
+        raise ConfigError(f"--range: cannot allocate {steps} sweep steps") from None
     delta_tau, delta0, sigma_g = _axis_pairs(cfg, axis, values)
     if cfg.analytic_only:
         vis = analytic_visibility_at(cfg.scenario, delta_tau, delta0, sigma_g)
@@ -338,7 +343,11 @@ def cmd_fit(data_path, model, out_path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call and shared
+    by every later one (parse_args keeps no state between calls); not at
+    import, so importing homsim.cli stays cheap."""
     parser = argparse.ArgumentParser(
         prog="homsim",
         description="Two-photon interference simulator: scenarios, sweeps and fits.")
@@ -360,8 +369,14 @@ def main(argv=None) -> int:
     p_fit.add_argument("--model", required=True, choices=sorted(_FIT_MODELS))
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--out", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one command from argv (default sys.argv[1:]) and return its exit
+    code; argparse usage errors raise SystemExit(2). Safe to call
+    repeatedly in one process."""
+    args = _parser().parse_args(argv)
     if args.command == "simulate":
         return cmd_simulate(args.config, args.out, seed=args.seed)
     if args.command == "sweep":

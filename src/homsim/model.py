@@ -358,12 +358,14 @@ def time_jitter_overlap_factor(tau_r: float, delta_tau, jitter_sigma: float):
     independent per-photon emission jitter. Stable closed form via erfcx.
 
     Elementwise over delta_tau: a scalar gives a float, an array a float
-    array. A single delta_tau that is not finite raises ValueError.
+    array. A single delta_tau that is not finite raises ValueError, as do a
+    tau_r that is not finite and > 0 and a jitter_sigma that is not finite
+    and >= 0.
     """
-    if not tau_r > 0:
-        raise ValueError(f"tau_r must be > 0, got {tau_r}")
-    if jitter_sigma < 0:
-        raise ValueError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
+    if not (tau_r > 0 and math.isfinite(tau_r)):
+        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
+    if not (jitter_sigma >= 0 and math.isfinite(jitter_sigma)):
+        raise ValueError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma}")
     mu = np.abs(np.asarray(delta_tau, dtype=float))  # the factor is even in the offset
     bad = ~np.isfinite(mu)
     if bad.any():

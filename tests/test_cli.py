@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -524,6 +525,116 @@ class TestMain:
         assert rc == 0
 
 
+HELP_TEXT = {  # homsim 0.8.1's --help output at 80 columns
+    (): """\
+usage: homsim [-h] {simulate,sweep,fit} ...
+
+Two-photon interference simulator: scenarios, sweeps and fits.
+
+positional arguments:
+  {simulate,sweep,fit}
+    simulate            run one scenario config
+    sweep               sweep one scenario parameter
+    fit                 fit a model to CSV data
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("simulate",): """\
+usage: homsim simulate [-h] --config CONFIG --out OUT [--seed SEED]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG
+  --out OUT
+  --seed SEED      override the config seed
+""",
+    ("sweep",): """\
+usage: homsim sweep [-h] --config CONFIG --axis
+                    {delta_t,detuning,sigma_g,temperature-proxy} --range
+                    SWEEP_RANGE --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG
+  --axis {delta_t,detuning,sigma_g,temperature-proxy}
+  --range SWEEP_RANGE   start:stop:steps
+  --out OUT
+""",
+    ("fit",): """\
+usage: homsim fit [-h] --model {exp_decay,hom_dip,michelson} --data DATA --out
+                  OUT
+
+options:
+  -h, --help            show this help message and exit
+  --model {exp_decay,hom_dip,michelson}
+  --data DATA
+  --out OUT
+""",
+}
+
+
+class TestParserReuse:
+    """main() builds its parser once per process, on the first call, and
+    no call leaves state for the next."""
+
+    def test_two_calls_share_one_parser(self, tmp_path, monkeypatch):
+        data = str(CONFIG_DIR / "lifetime-example.csv")
+        assert main(["fit", "--model", "exp_decay", "--data", data,
+                     "--out", str(tmp_path / "f0.json")]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        for i in (1, 2):
+            assert main(["fit", "--model", "exp_decay", "--data", data,
+                         "--out", str(tmp_path / f"f{i}.json")]) == 0
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        script = "\n".join([
+            "import argparse",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)",
+            "import homsim.cli",
+            "print(len(built), homsim.cli._parser.cache_info().currsize)",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_no_state_carries_between_calls(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, n_pulses=2000)  # config seed 777
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                     "--seed", "5"]) == 0
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        seeds = [json.loads((tmp_path / d / "summary.json").read_text())["provenance"]["seed"]
+                 for d in "ab"]
+        assert seeds == [5, 777]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--axis", "bogus", "--range=0:1:3",
+                  "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(HELP_TEXT[("sweep",)].split("\n\n")[0] + "\n")
+        assert "homsim sweep: error: argument --axis: invalid choice: 'bogus'" in err
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        assert (tmp_path / "d" / "histogram.csv").read_bytes() == \
+            (tmp_path / "b" / "histogram.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", list(HELP_TEXT), ids=lambda c: c[0] if c else "top")
+    def test_help_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):  # the first call builds the parser, the second reuses it
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == HELP_TEXT[command]
+
+
 class TestExitContract:
     """Every command answers bad input with exit 2 and one error line, never
     a traceback, and a failed write with exit 3."""
@@ -536,12 +647,18 @@ class TestExitContract:
         (["simulate", "--config", "{not_utf8}"], "{not_utf8}"),
         (["sweep", "--config", "{not_utf8}", "--axis", "detuning", "--range=0:1:3"], "{not_utf8}"),
         (["fit", "--model", "hom_dip", "--data", "{not_utf8}"], "{not_utf8}"),
+        # numpy refuses 1e15 steps (7.11 PiB) at once, without allocating
+        (["sweep", "--config", "{detuning}", "--axis", "detuning",
+          f"--range=0:1:{10 ** 15}"], f"--range: cannot allocate {10 ** 15}"),
+        (["sweep", "--config", "{detuning}", "--axis", "detuning",
+          f"--range=0:1:{2 ** 53 + 1}"], f"--range steps must be <= 2**53, got {2 ** 53 + 1}"),
     ], ids=["seed-negative", "seed-2**64", "sweep-stream-id", "simulate-not-utf8",
-            "sweep-not-utf8", "fit-not-utf8"])
+            "sweep-not-utf8", "fit-not-utf8", "sweep-range-1e15", "sweep-range-2**53+1"])
     def test_bad_input_exit_2_with_one_error_line(self, tmp_path, args, names):
         raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
         raw.update({"n_pulses": 2000, "rng": {"seed": 1, "stream_id": 2 ** 32 - 1}})
         paths = {"remote": str(CONFIG_DIR / "remote-qd.json"),
+                 "detuning": str(CONFIG_DIR / "remote-detuning-sweep.json"),
                  "last_stream": str(tmp_path / "last-stream.json"),
                  "not_utf8": str(tmp_path / "input.dat")}
         Path(paths["last_stream"]).write_text(json.dumps(raw), encoding="utf-8")

@@ -554,6 +554,15 @@ class TestTimeJitterOverlapFactor:
             with pytest.raises(ValueError):
                 time_jitter_overlap_factor(0.67, np.array([0.0, 1.0, bad]), sj)
 
+    @pytest.mark.parametrize("tau_r,sj", [
+        (0.67, float("nan")), (0.67, float("inf")), (0.67, -0.1),
+        (float("inf"), 0.1), (float("nan"), 0.1), (0.0, 0.1), (-0.67, 0.0)])
+    def test_bad_tau_r_or_jitter_rejected(self, tau_r, sj):
+        # written so that NaN fails them, as in InterferenceScenario
+        for delta_tau in (0.0, 0.3):
+            with pytest.raises(ValueError):
+                time_jitter_overlap_factor(tau_r, delta_tau, sj)
+
 
 class TestTypeValidation:
     def test_emitter_params(self):

@@ -254,7 +254,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.8.1"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.8.2"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "98642e529a70d11e71c75dabe2e6ec8f844f459e470054c026c34c03ce3ba19c",
     (MODE_REMOTE, True): "03a2d9c04ebb74c3fa906c0cd2839a4dc239df51cbf69649b542191babc14ecc",
