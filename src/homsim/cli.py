@@ -28,8 +28,6 @@ from .fitting import SingularModelError, fit_exponential_decay, fit_hom_dip, fit
 from .model import HBAR_UEV_NS
 from .montecarlo import (
     CHUNK_PULSES,
-    MODE_CROSS_POLARIZED,
-    MODE_DOUBLE_PULSE,
     RNG_ALGORITHM,
     analytic_visibility,
     analytic_visibility_at,
@@ -87,7 +85,7 @@ def _measure_histogram(cfg: ScenarioConfig):
     hist = simulate_histogram(cfg.scenario, cfg.rng, bin_width=cfg.bin_width,
                               window_periods=cfg.window_periods, n_jobs=cfg.n_jobs)
     try:
-        if cfg.scenario.mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED):
+        if cfg.pulse_pair():
             report = g2_indist_double_pulse(hist, cfg.scenario.intra_delay,
                                             cfg.analysis_window_halfwidth)
         else:

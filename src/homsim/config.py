@@ -1,6 +1,8 @@
 """Scenario configuration: JSON schema with explicit units in field names,
 validation with field-path diagnostics, and default resolution.
 
+_FIELDS spells each field once: config_from_dict reads and checks every
+field through it, effective_dict echoes it, and any other key is an error.
 The analysis window is checked by the estimator's own rule
 (analysis._check_windows) on the peaks the configured mode reads, so a
 window the estimator would reject fails here, before anything is simulated.
@@ -12,9 +14,12 @@ are converted through hbar = 0.6582119569 ueV*ns.
 
 from __future__ import annotations
 
+import difflib
+import functools
 import json
-import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import WindowConfigurationError, _check_windows, _pulse_pair_spacing
 from .model import HBAR_UEV_NS, PairSpec
@@ -40,10 +45,57 @@ class ConfigError(ValueError):
     (or the line/column for JSON syntax errors)."""
 
 
+class _Field(NamedTuple):
+    """attr: the ScenarioConfig attribute the field sets (None for a _uev
+    alternate); kind: float, int, bool, a tuple of allowed values or a list
+    of them (a non-empty list drawn from it); default: a value, _REQUIRED or
+    _RESOLVED (from other fields); lo, hi: inclusive bounds."""
+
+    attr: str | None
+    kind: object
+    default: object
+    lo: float | None = None
+    hi: float | None = None
+
+
+_REQUIRED, _RESOLVED = "required", "resolved"
+_FIELDS = {
+    "schema_version": _Field("schema_version", (SCHEMA_VERSION,), _REQUIRED),
+    "mode": _Field("scenario.mode", MODES, _REQUIRED),
+    "tau_r_ns": _Field("scenario.pair.tau_r", float, _REQUIRED),
+    "delta_tau_ns": _Field("scenario.pair.delta_tau", float, 0.0),
+    "delta0_rad_per_ns": _Field("scenario.pair.delta0", float, 0.0),
+    "delta0_uev": _Field(None, float, None),
+    "sigma_g_rad_per_ns": _Field("scenario.pair.sigma_g", float, 0.0),
+    "sigma_g_uev": _Field(None, float, None),
+    "rep_period_ns": _Field("scenario.rep_period", float, _REQUIRED),
+    "intra_delay_ns": _Field("scenario.intra_delay", float, _RESOLVED),
+    "emission_jitter_ns": _Field("scenario.emission_jitter", float, 0.0),
+    # _chunk_rng keys each block by a block index below 2^32
+    "n_pulses": _Field("scenario.n_pulses", int, 100_000, 1, CHUNK_PULSES * 2 ** 32),
+    "detector.efficiency": _Field("scenario.detector.efficiency", float, 1.0),
+    "detector.timing_jitter_sigma_ns": _Field("scenario.detector.timing_jitter_sigma", float, 0.0),
+    "detector.dark_rate_per_ns": _Field("scenario.detector.dark_rate", float, 0.0),
+    "rng.seed": _Field("rng.seed", int, _REQUIRED),
+    "rng.stream_id": _Field("rng.stream_id", int, 0),
+    "histogram.bin_width_ns": _Field("bin_width", float, 0.128, 1e-6),
+    "histogram.window_periods": _Field("window_periods", int, _RESOLVED, 1),
+    "analysis.n_side_peaks": _Field("n_side_peaks", int, 6, 2),
+    "analysis.window_halfwidth_ns": _Field("analysis_window_halfwidth", float, _RESOLVED, 1e-9),
+    "model_overrides.analytic_only": _Field("analytic_only", bool, False),
+    "outputs": _Field("outputs", list(KNOWN_OUTPUTS), KNOWN_OUTPUTS),
+    "sweep.temperature_slope_uev_per_K": _Field("temperature_slope_uev_per_k", float, None),
+    "sweep.temperature_ref_K": _Field("temperature_ref_k", float, None),
+    "n_jobs": _Field("n_jobs", int, 1, 1),
+}
+_SECTIONS = tuple(dict.fromkeys(path.rpartition(".")[0] for path in _FIELDS if "." in path))
+
+
 @dataclass
 class ScenarioConfig:
     """Validated configuration with all defaults resolved."""
 
+    schema_version: str
     scenario: InterferenceScenario
     rng: RngSpec
     bin_width: float
@@ -54,7 +106,12 @@ class ScenarioConfig:
     n_jobs: int
     temperature_slope_uev_per_k: float | None
     temperature_ref_k: float | None
-    outputs: tuple[str, ...] = KNOWN_OUTPUTS
+    outputs: tuple[str, ...]
+
+    def pulse_pair(self) -> bool:
+        """Pulse-pair modes reference the satellites at +/- intra_delay
+        (g2_indist_double_pulse), the others the side peaks (peak_areas)."""
+        return self.scenario.mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED)
 
     def first_side_peak(self) -> int:
         """Consecutive-photon interference suppresses the +/-1 repetition
@@ -63,183 +120,124 @@ class ScenarioConfig:
 
     def effective_dict(self) -> dict:
         """Round-trippable echo of the configuration after defaults."""
-        s = self.scenario
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": s.mode,
-            "tau_r_ns": s.pair.tau_r,
-            "delta_tau_ns": s.pair.delta_tau,
-            "delta0_rad_per_ns": s.pair.delta0,
-            "sigma_g_rad_per_ns": s.pair.sigma_g,
-            "rep_period_ns": s.rep_period,
-            "intra_delay_ns": s.intra_delay,
-            "emission_jitter_ns": s.emission_jitter,
-            "n_pulses": s.n_pulses,
-            "detector": {
-                "efficiency": s.detector.efficiency,
-                "timing_jitter_sigma_ns": s.detector.timing_jitter_sigma,
-                "dark_rate_per_ns": s.detector.dark_rate,
-            },
-            "rng": {"seed": self.rng.seed, "stream_id": self.rng.stream_id},
-            "histogram": {"bin_width_ns": self.bin_width, "window_periods": self.window_periods},
-            "analysis": {
-                "n_side_peaks": self.n_side_peaks,
-                "window_halfwidth_ns": self.analysis_window_halfwidth,
-            },
-            "model_overrides": {"analytic_only": self.analytic_only},
-            "outputs": list(self.outputs),
-            "sweep": {
-                "temperature_slope_uev_per_K": self.temperature_slope_uev_per_k,
-                "temperature_ref_K": self.temperature_ref_k,
-            },
-            "n_jobs": self.n_jobs,
-        }
+        echo = {}
+        for path, f in _FIELDS.items():
+            if f.attr:
+                value = functools.reduce(getattr, f.attr.split("."), self)
+                _put(echo, path, list(value) if isinstance(value, tuple) else value)
+        return echo
 
 
-def _get(d, path, default=None, required=False):
-    cur = d
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            if required:
-                raise ConfigError(f"{path}: required field is missing")
-            return default
-        cur = cur[part]
-    return cur
+def _put(tree, dotted, value):
+    *parents, name = dotted.split(".")
+    for part in parents:
+        tree = tree.setdefault(part, {})
+    tree[name] = value
 
 
-def _number(d, path, default=None, required=False, lo=None, hi=None, integer=False):
-    v = _get(d, path, default=default, required=required)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {v!r}")
-    if isinstance(v, float) and not math.isfinite(v):
+def _check(path, v):
+    _, kind, _, lo, hi = _FIELDS[path]
+    if kind is bool and not isinstance(v, bool):
+        raise ConfigError(f"{path}: expected true/false")
+    if isinstance(kind, tuple) and v not in kind:
+        raise ConfigError(f"{path}: must be one of {list(kind)}, got {v!r}")
+    if isinstance(kind, list):
+        if not isinstance(v, list) or not v or any(o not in kind for o in v):
+            raise ConfigError(f"{path}: expected a non-empty list drawn from {kind}")
+        return tuple(v)
+    if kind is bool or isinstance(kind, tuple):
+        return v
+    # abs(v) <= max also rejects NaN, and ints too large to convert to float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number, got {v!r}")
-    if integer and int(v) != v:
+    if kind is int and int(v) != v:
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(f"{path}: must be >= {lo}, got {v}")
     if hi is not None and v > hi:
         raise ConfigError(f"{path}: must be <= {hi}, got {v}")
-    return int(v) if integer else float(v)
+    return kind(v)
 
 
-def _freq_field(d, base_path, default=0.0):
-    """Angular frequency given either directly (_rad_per_ns) or as an energy
-    (_uev); specifying both is an error."""
-    rad = _number(d, base_path + "_rad_per_ns")
-    uev = _number(d, base_path + "_uev")
-    if rad is not None and uev is not None:
-        raise ConfigError(f"{base_path}_rad_per_ns and {base_path}_uev are mutually exclusive")
-    if uev is not None:
-        return uev / HBAR_UEV_NS
-    return default if rad is None else rad
+def _given(obj, prefix=""):
+    """The checked value of each field the JSON object obj gives, by path.
+    A null counts as absent; an unknown key, at any depth, and a section
+    that is not a JSON object are errors."""
+    values = {}
+    for key, v in obj.items():
+        path = prefix + key
+        if "." in key:
+            raise ConfigError(f"{path}: unknown field; write a dotted path as nested JSON objects")
+        if path not in _FIELDS and path not in _SECTIONS:
+            near = difflib.get_close_matches(path, [*_FIELDS, *_SECTIONS], n=1)
+            raise ConfigError(f"{path}: unknown field" + (f"; did you mean {near[0]}?" if near else ""))
+        if v is None:
+            continue
+        if path in _FIELDS:
+            values[path] = _check(path, v)
+        elif isinstance(v, dict):
+            values.update(_given(v, path + "."))
+        else:
+            raise ConfigError(f"{path}: expected a JSON object")
+    return values
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    version = _get(raw, "schema_version", required=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: unrecognized value {version!r} (expected {SCHEMA_VERSION!r})")
-    mode = _get(raw, "mode", required=True)
-    if mode not in MODES:
-        raise ConfigError(f"mode: must be one of {list(MODES)}, got {mode!r}")
+    given = _given(raw)
+    for path in [p for p in given if _FIELDS[p].attr is None]:  # a _uev alternate
+        rad = path.replace("_uev", "_rad_per_ns")
+        if rad in given:
+            raise ConfigError(f"{rad} and {path} are mutually exclusive")
+        given[rad] = given[path] / HBAR_UEV_NS
+    tree = {}
+    for path, f in _FIELDS.items():
+        if f.default == _REQUIRED and path not in given:
+            raise ConfigError(f"{path}: required field is missing")
+        if f.attr:
+            _put(tree, f.attr, given.get(path, None if f.default == _RESOLVED else f.default))
 
-    tau_r = _number(raw, "tau_r_ns", required=True)
-    rep_period = _number(raw, "rep_period_ns", required=True)
+    s = tree["scenario"]
+    delay_given = s["intra_delay"] is not None
+    s["intra_delay"] = s["intra_delay"] if delay_given else min(2.0, 0.5 * s["rep_period"])
     try:
-        pair = PairSpec(
-            tau_r=tau_r,
-            delta_tau=_number(raw, "delta_tau_ns", default=0.0),
-            delta0=_freq_field(raw, "delta0"),
-            sigma_g=_freq_field(raw, "sigma_g"),
-        )
-        detector = DetectorModel(
-            efficiency=_number(raw, "detector.efficiency", default=1.0),
-            timing_jitter_sigma=_number(raw, "detector.timing_jitter_sigma_ns", default=0.0),
-            dark_rate=_number(raw, "detector.dark_rate_per_ns", default=0.0),
-        )
-        scenario = InterferenceScenario(
-            mode=mode,
-            pair=pair,
-            rep_period=rep_period,
-            intra_delay=_number(raw, "intra_delay_ns", default=min(2.0, 0.5 * rep_period)),
-            emission_jitter=_number(raw, "emission_jitter_ns", default=0.0),
-            # _chunk_rng keys each block by a block index below 2^32
-            n_pulses=_number(raw, "n_pulses", default=100_000, integer=True, lo=1,
-                             hi=CHUNK_PULSES * 2 ** 32),
-            detector=detector,
-        )
-        rng = RngSpec(
-            seed=_number(raw, "rng.seed", required=True, integer=True),
-            stream_id=_number(raw, "rng.stream_id", default=0, integer=True),
-        )
-    except ConfigError:
-        raise
+        s["pair"], s["detector"] = PairSpec(**s["pair"]), DetectorModel(**s["detector"])
+        tree["scenario"], tree["rng"] = InterferenceScenario(**s), RngSpec(**tree["rng"])
     except ValueError as exc:
         raise ConfigError(f"invalid parameter value: {exc}") from exc
+    cfg = ScenarioConfig(**tree)
 
-    n_side = _number(raw, "analysis.n_side_peaks", default=6, integer=True, lo=2)
-    if n_side % 2:
-        raise ConfigError(f"analysis.n_side_peaks: must be even, got {n_side}")
-    k_max = (2 if mode == MODE_CONSECUTIVE else 1) + n_side // 2 - 1
-
-    window_periods = _number(raw, "histogram.window_periods", integer=True, lo=1)
-    if window_periods is None:
-        window_periods = max(3, k_max + 1)
-    bin_width = _number(raw, "histogram.bin_width_ns", default=0.128, lo=1e-6)
-
-    satellites = mode in (MODE_DOUBLE_PULSE, MODE_CROSS_POLARIZED)
-    spacing, reach = ((_pulse_pair_spacing(scenario.intra_delay, rep_period), scenario.intra_delay)
-                      if satellites else (rep_period, k_max * rep_period))
+    T, d = cfg.scenario.rep_period, cfg.scenario.intra_delay
+    if cfg.n_side_peaks % 2:
+        raise ConfigError(f"analysis.n_side_peaks: must be even, got {cfg.n_side_peaks}")
+    k_max = cfg.first_side_peak() + cfg.n_side_peaks // 2 - 1
+    if cfg.window_periods is None:
+        cfg.window_periods = max(3, k_max + 1)
+    spacing, reach = (_pulse_pair_spacing(d, T), d) if cfg.pulse_pair() else (T, k_max * T)
     if spacing == 0:  # d = T/2 or T/3: a peak of the next pulse lies on a window
-        d = scenario.intra_delay
-        k, peak = ((2, "central peak at lag 0") if rep_period == 2 * d
-                   else (3, "satellite at lag +intra_delay_ns"))
-        default = "" if "intra_delay_ns" in raw else " (the default, min(2, rep_period_ns / 2))"
+        k, peak = (2, "central peak at lag 0") if T == 2 * d else (3, "satellite at lag +intra_delay_ns")
+        default = "" if delay_given else " (the default, min(2, rep_period_ns / 2))"
         raise ConfigError(f"intra_delay_ns: {d} ns{default} is rep_period_ns / {k}, so the peak at lag "
                           f"rep_period_ns - 2 * intra_delay_ns coincides with the {peak}")
-    whw = _number(raw, "analysis.window_halfwidth_ns", lo=1e-9)
-    if whw is None:
+    if cfg.analysis_window_halfwidth is None:
         # 5 lifetimes, clipped so integration windows cannot overlap
-        whw = min(5.0 * tau_r, (0.4 if satellites else 0.45) * spacing)
+        cfg.analysis_window_halfwidth = min(5.0 * cfg.scenario.pair.tau_r,
+                                            (0.4 if cfg.pulse_pair() else 0.45) * spacing)
     try:
-        _check_windows(whw, spacing, reach, window_periods * rep_period)
+        _check_windows(cfg.analysis_window_halfwidth, spacing, reach, cfg.window_periods * T)
     except WindowConfigurationError as exc:
         raise ConfigError(f"analysis.window_halfwidth_ns: {exc} "
-                          f"(histogram.window_periods = {window_periods})") from exc
-
-    analytic_only = _get(raw, "model_overrides.analytic_only", default=False)
-    if not isinstance(analytic_only, bool):
-        raise ConfigError("model_overrides.analytic_only: expected true/false")
-
-    outputs = _get(raw, "outputs", default=list(KNOWN_OUTPUTS))
-    if (not isinstance(outputs, list) or not outputs
-            or any(o not in KNOWN_OUTPUTS for o in outputs)):
-        raise ConfigError(f"outputs: expected a non-empty list drawn from {list(KNOWN_OUTPUTS)}")
-
-    return ScenarioConfig(
-        scenario=scenario,
-        rng=rng,
-        bin_width=bin_width,
-        window_periods=window_periods,
-        n_side_peaks=n_side,
-        analysis_window_halfwidth=whw,
-        analytic_only=analytic_only,
-        n_jobs=_number(raw, "n_jobs", default=1, integer=True, lo=1),
-        temperature_slope_uev_per_k=_number(raw, "sweep.temperature_slope_uev_per_K"),
-        temperature_ref_k=_number(raw, "sweep.temperature_ref_K"),
-        outputs=tuple(outputs),
-    )
+                          f"(histogram.window_periods = {cfg.window_periods})") from exc
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an integer past the digit limit
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(raw)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from homsim.cli import cmd_fit, cmd_simulate, cmd_sweep, main
-from homsim.config import load_config
+from homsim.config import config_from_dict, load_config
 from homsim.model import PairSpec
 from homsim.montecarlo import RNG_ALGORITHM, analytic_visibility
 from oracles_quadrature import visibility_inhom_quadrature
@@ -708,15 +708,102 @@ class TestExitContract:
         assert capsys.readouterr().err.startswith("error: cannot write")
 
 
+class TestConfigSchema:
+    """Every key is a known field, every section a JSON object, and a null
+    required field is missing: each violation exits 2 naming the path."""
+
+    @staticmethod
+    def run(tmp_path, capsys, **update):
+        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+        for key, value in update.items():
+            if isinstance(value, dict) and isinstance(raw.get(key), dict):
+                raw[key] = {**raw[key], **value}
+            else:
+                raw[key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        return code, line
+
+    @pytest.mark.parametrize("update, path, near", [
+        ({"emision_jitter_ns": 5.0}, "emision_jitter_ns", "emission_jitter_ns"),
+        ({"detector": {"eficiency": 0.1}}, "detector.eficiency", "detector.efficiency"),
+        ({"rng": {"stream": 1}}, "rng.stream", "rng.stream_id"),
+        ({"comment": "resonant pumping"}, "comment", None),
+        ({"comment": None}, "comment", None),
+    ], ids=["top-level", "nested", "rng", "no-near-match", "null-value"])
+    def test_unknown_key_exit_2_names_path_and_nearest_field(self, tmp_path, capsys,
+                                                             update, path, near):
+        code, line = self.run(tmp_path, capsys, **update)
+        assert code == 2
+        assert line.startswith(f"error: {path}: unknown field")
+        if near is None:
+            assert "did you mean" not in line
+        else:
+            assert line.endswith(f"did you mean {near}?")
+
+    def test_literal_dotted_key_is_unknown(self, tmp_path, capsys):
+        code, line = self.run(tmp_path, capsys, **{"detector.efficiency": 0.1})
+        assert code == 2
+        assert line.startswith("error: detector.efficiency: unknown field")
+        assert "nested JSON objects" in line
+
+    @pytest.mark.parametrize("update, path", [
+        ({"tau_r_ns": None}, "tau_r_ns"),
+        ({"rep_period_ns": None}, "rep_period_ns"),
+        ({"rng": {"seed": None}}, "rng.seed"),
+        ({"mode": None}, "mode"),
+    ], ids=["tau_r_ns", "rep_period_ns", "rng.seed", "mode"])
+    def test_null_required_field_exit_2(self, tmp_path, capsys, update, path):
+        assert self.run(tmp_path, capsys, **update) == (
+            2, f"error: {path}: required field is missing")
+
+    @pytest.mark.parametrize("update, path", [
+        ({"detector": 5}, "detector"),
+        ({"detector": "eff"}, "detector"),
+        ({"histogram": [1]}, "histogram"),
+        ({"rng": True}, "rng"),
+    ], ids=["detector-number", "detector-string", "histogram-list", "rng-bool"])
+    def test_section_that_is_not_an_object_exit_2(self, tmp_path, capsys, update, path):
+        assert self.run(tmp_path, capsys, **update) == (2, f"error: {path}: expected a JSON object")
+
+    def test_integer_past_the_float_range_exit_2(self, tmp_path, capsys):
+        code, line = self.run(tmp_path, capsys, tau_r_ns=10 ** 400)
+        assert code == 2 and line.startswith("error: tau_r_ns: expected a finite number")
+
+    def test_integer_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        raw = (CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(raw.replace('"n_pulses": 400000', '"n_pulses": 1' + "0" * 5000),
+                       encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read config {cfg}: ") and "digits" in line
+
+    def test_null_optional_field_or_section_takes_the_default(self, tmp_path):
+        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+        for key in ("emission_jitter_ns", "detector"):
+            bare = {k: v for k, v in raw.items() if k != key}
+            paths = [tmp_path / "null.json", tmp_path / "absent.json"]
+            paths[0].write_text(json.dumps({**raw, key: None}), encoding="utf-8")
+            paths[1].write_text(json.dumps(bare), encoding="utf-8")
+            assert load_config(paths[0]) == load_config(paths[1]), key
+
+
 class TestBundledConfigs:
-    @pytest.mark.parametrize("name", [
-        "remote-qd.json", "double-pulse-rf.json", "cross-polarized.json",
-        "p-shell.json", "wetting-layer.json", "remote-detuning-sweep.json",
-    ])
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
     def test_all_bundled_configs_load(self, name):
-        from homsim.config import load_config
         cfg = load_config(CONFIG_DIR / name)
         assert cfg.scenario.n_pulses >= 1
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_effective_config_loads_back_equal(self, name):
+        cfg = load_config(CONFIG_DIR / name)
+        echo = json.loads(json.dumps(cfg.effective_dict()))
+        assert config_from_dict(echo) == cfg
 
     def test_remote_qd_summary_carries_reference_visibility(self, tmp_path):
         # the bundled remote-pair scenario reports 0.364 as its analytic

@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import homsim
+import homsim.config
 import homsim.model
 import homsim.specfun
 
@@ -45,6 +46,16 @@ class TestPublicSurface:
                             and isinstance(node.value, ast.Name) and node.value.id == "math"), path
                 assert not (isinstance(node, ast.ImportFrom) and node.module == "math"
                             and any(a.name == "erfc" for a in node.names)), path
+
+
+class TestConfigSchemaDocs:
+    def test_readme_schema_table_lists_exactly_the_config_fields(self):
+        # the README spells the schema by hand; it must name the same paths,
+        # in the same order, as the table the loader reads
+        text = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Config schema\n", 1)[1].split("\n#", 1)[0]
+        paths = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert paths == list(homsim.config._FIELDS)
 
 
 class TestImportCost:
