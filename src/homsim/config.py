@@ -14,7 +14,6 @@ are converted through hbar = 0.6582119569 ueV*ns.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import json
 import sys
@@ -46,10 +45,11 @@ class ConfigError(ValueError):
 
 
 class _Field(NamedTuple):
-    """attr: the ScenarioConfig attribute the field sets (None for a _uev
-    alternate); kind: float, int, bool, a tuple of allowed values or a list
-    of them (a non-empty list drawn from it); default: a value, _REQUIRED or
-    _RESOLVED (from other fields); lo, hi: inclusive bounds."""
+    """attr: the ScenarioConfig attribute the field sets (None for the
+    schema_version constant and the _uev alternates); kind: float, int, bool,
+    a tuple of allowed values or a list of them (a non-empty list drawn from
+    it); default: a value, _REQUIRED, or None (resolved from other fields, or
+    absent); lo, hi: inclusive bounds."""
 
     attr: str | None
     kind: object
@@ -58,9 +58,9 @@ class _Field(NamedTuple):
     hi: float | None = None
 
 
-_REQUIRED, _RESOLVED = "required", "resolved"
+_REQUIRED = "required"
 _FIELDS = {
-    "schema_version": _Field("schema_version", (SCHEMA_VERSION,), _REQUIRED),
+    "schema_version": _Field(None, (SCHEMA_VERSION,), _REQUIRED),
     "mode": _Field("scenario.mode", MODES, _REQUIRED),
     "tau_r_ns": _Field("scenario.pair.tau_r", float, _REQUIRED),
     "delta_tau_ns": _Field("scenario.pair.delta_tau", float, 0.0),
@@ -69,7 +69,7 @@ _FIELDS = {
     "sigma_g_rad_per_ns": _Field("scenario.pair.sigma_g", float, 0.0),
     "sigma_g_uev": _Field(None, float, None),
     "rep_period_ns": _Field("scenario.rep_period", float, _REQUIRED),
-    "intra_delay_ns": _Field("scenario.intra_delay", float, _RESOLVED),
+    "intra_delay_ns": _Field("scenario.intra_delay", float, None),
     "emission_jitter_ns": _Field("scenario.emission_jitter", float, 0.0),
     # _chunk_rng keys each block by a block index below 2^32
     "n_pulses": _Field("scenario.n_pulses", int, 100_000, 1, CHUNK_PULSES * 2 ** 32),
@@ -79,9 +79,9 @@ _FIELDS = {
     "rng.seed": _Field("rng.seed", int, _REQUIRED),
     "rng.stream_id": _Field("rng.stream_id", int, 0),
     "histogram.bin_width_ns": _Field("bin_width", float, 0.128, 1e-6),
-    "histogram.window_periods": _Field("window_periods", int, _RESOLVED, 1),
+    "histogram.window_periods": _Field("window_periods", int, None, 1),
     "analysis.n_side_peaks": _Field("n_side_peaks", int, 6, 2),
-    "analysis.window_halfwidth_ns": _Field("analysis_window_halfwidth", float, _RESOLVED, 1e-9),
+    "analysis.window_halfwidth_ns": _Field("analysis_window_halfwidth", float, None, 1e-9),
     "model_overrides.analytic_only": _Field("analytic_only", bool, False),
     "outputs": _Field("outputs", list(KNOWN_OUTPUTS), KNOWN_OUTPUTS),
     "sweep.temperature_slope_uev_per_K": _Field("temperature_slope_uev_per_k", float, None),
@@ -95,7 +95,6 @@ _SECTIONS = tuple(dict.fromkeys(path.rpartition(".")[0] for path in _FIELDS if "
 class ScenarioConfig:
     """Validated configuration with all defaults resolved."""
 
-    schema_version: str
     scenario: InterferenceScenario
     rng: RngSpec
     bin_width: float
@@ -120,7 +119,7 @@ class ScenarioConfig:
 
     def effective_dict(self) -> dict:
         """Round-trippable echo of the configuration after defaults."""
-        echo = {}
+        echo = {"schema_version": SCHEMA_VERSION}
         for path, f in _FIELDS.items():
             if f.attr:
                 value = functools.reduce(getattr, f.attr.split("."), self)
@@ -169,6 +168,7 @@ def _given(obj, prefix=""):
         if "." in key:
             raise ConfigError(f"{path}: unknown field; write a dotted path as nested JSON objects")
         if path not in _FIELDS and path not in _SECTIONS:
+            import difflib  # only an unknown key pays for the import
             near = difflib.get_close_matches(path, [*_FIELDS, *_SECTIONS], n=1)
             raise ConfigError(f"{path}: unknown field" + (f"; did you mean {near[0]}?" if near else ""))
         if v is None:
@@ -186,7 +186,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     given = _given(raw)
-    for path in [p for p in given if _FIELDS[p].attr is None]:  # a _uev alternate
+    for path in [p for p in given if p.endswith("_uev")]:
         rad = path.replace("_uev", "_rad_per_ns")
         if rad in given:
             raise ConfigError(f"{rad} and {path} are mutually exclusive")
@@ -196,7 +196,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         if f.default == _REQUIRED and path not in given:
             raise ConfigError(f"{path}: required field is missing")
         if f.attr:
-            _put(tree, f.attr, given.get(path, None if f.default == _RESOLVED else f.default))
+            _put(tree, f.attr, given.get(path, f.default))
 
     s = tree["scenario"]
     delay_given = s["intra_delay"] is not None
