@@ -158,6 +158,19 @@ def _check(path, v):
     return kind(v)
 
 
+def _nearest(path):
+    """The known path closest to an unknown one, or None. The whole paths
+    are compared and so are their last segments, so that a key in the wrong
+    section (a top-level "seed", or "detector.seed") points at its field."""
+    from difflib import SequenceMatcher  # only an unknown key pays for the import
+
+    def score(known):
+        return max(SequenceMatcher(None, path, known).ratio(),
+                   SequenceMatcher(None, path.rpartition(".")[2], known.rpartition(".")[2]).ratio())
+    best = max([*_FIELDS, *_SECTIONS], key=score)
+    return best if score(best) >= 0.6 else None
+
+
 def _given(obj, prefix=""):
     """The checked value of each field the JSON object obj gives, by path.
     A null counts as absent; an unknown key, at any depth, and a section
@@ -168,9 +181,8 @@ def _given(obj, prefix=""):
         if "." in key:
             raise ConfigError(f"{path}: unknown field; write a dotted path as nested JSON objects")
         if path not in _FIELDS and path not in _SECTIONS:
-            import difflib  # only an unknown key pays for the import
-            near = difflib.get_close_matches(path, [*_FIELDS, *_SECTIONS], n=1)
-            raise ConfigError(f"{path}: unknown field" + (f"; did you mean {near[0]}?" if near else ""))
+            near = _nearest(path)
+            raise ConfigError(f"{path}: unknown field" + (f"; did you mean {near}?" if near else ""))
         if v is None:
             continue
         if path in _FIELDS:

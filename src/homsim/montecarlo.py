@@ -9,7 +9,9 @@ Every pairing mode and the HBT purity measurement run one pipeline per
 block of CHUNK_PULSES pulses. A routing function per mode (HBT is one more)
 draws the emission randomness, in an order that fixes the mode's stream, and
 returns the meeting pairs (midpoint, arrival offset, frequency difference)
-and the groups of lone photon onsets; _mode_detections samples both;
+and the groups of lone photon onsets; _mode_detections samples both, the
+meeting pairs in one direct draw from the two-photon detection law
+(_sample_meeting_pairs: a fixed set of draws per pair, nothing rejected);
 _apply_detector and _correlate follow; _run_blocks sums the blocks into one
 CorrelationHistogram. The stages select elements by index (take) or with
 compress, never by boolean-mask indexing, which numpy runs several times
@@ -194,154 +196,50 @@ def _chunk_rng(rng: RngSpec, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _sample_g_wing(tau_r, a_abs, u):
-    """Positive-delay sample from the wing density (up to normalization)
-
-        e^{-a} (e^{x/tau_r} - e^{-x/tau_r})          for 0 <= x < |dt|
-        e^{-x/tau_r} (e^{a} - e^{-a})                for x >= |dt|
-
-    where a = |dt|/tau_r. This is the non-negative difference
-    e^{-|x - dt|/tau_r} - e^{-(|dt| + x)/tau_r}, whose two CDF pieces invert
-    in closed form: arccosh(1 + z) below |dt|, where z = u' e^a / (2 tau_r)
-    for u' the uniform scaled to the wing's mass, carried as log z so that
-    no e^{+-a} overflows or underflows; and an exponential tail past |dt|.
-    u is uniform on [0, 1)."""
-    em = -np.expm1(-a_abs)  # 1 - e^{-a}, exact as a -> 0
-    m1 = tau_r * em ** 2
-    uu = u * (2.0 * tau_r * em)
-    with np.errstate(divide="ignore"):
-        log_z = a_abs + np.log(uu / (2.0 * tau_r))
-        z = np.exp(np.minimum(log_z, 0.0))  # z where z <= 1
-        r = np.exp(-np.maximum(log_z, 0.0))  # 1/z where z > 1
-        x1 = np.where(log_z <= 0.0, np.log1p(z + np.sqrt(z * (z + 2.0))),
-                      log_z + np.log(1.0 + r + np.sqrt(1.0 + 2.0 * r)))
-        # the tail past |dt| holds mass tau_r (1 - e^{-2a}) and is e^{-x/tau_r}
-        x2 = a_abs - np.log1p(-(uu - m1) / (-tau_r * np.expm1(-2.0 * a_abs)))
-    return tau_r * np.where(uu < m1, x1, x2)
-
-
-def _thin(g, out, rows, propose, accept, *params):
-    """Rejection sampling of one symmetric delay into out[rows]: propose(k)
-    draws k positive proposals and accept(x, *params) returns a fresh array
-    of the acceptance probabilities of proposals x for rows with the given
-    parameter arrays, an even function of the delay. Each round writes
-    every pending row and redraws only the rows it did not accept, so a row
-    keeps the delay of the round that accepts it. An accepted row's uniform
-    u is uniform on [0, p) given acceptance with probability p, independent
-    of x, so u < p/2 gives the delay's sign, computed in place."""
-    while rows.size:
-        prop = propose(rows.size)
-        p = accept(prop, *params)
-        u = g.random(rows.size)
-        miss = u >= p
-        p *= 0.5
-        p -= u
-        out[rows] = np.copysign(prop, p, out=prop)
-        rows = rows.compress(miss)
-        params = [q.compress(miss) for q in params]
-
-
-def _accept_cos(t, d, hs):
-    """0.5 + hs cos(d t), the exponential proposal's acceptance, in place."""
-    p = d * t
-    np.cos(p, out=p)
-    p *= hs
-    p += 0.5
-    return p
-
-
-def _sample_tau(tau_r, dtau, delta, opposite, g):
-    """Coincidence delay from the conditional two-detection delay density
-
-        e^{-|dt - t|/tau_r} + e^{-|dt + t|/tau_r}
-        + sign * 2 cos(delta t) e^{-(|dt| + |t|)/tau_r}
-
-    (sign -1 for opposite ports, +1 for bunched pairs). The density splits
-    exactly into three non-negative parts: two mirror-image wing terms
-    (sampled by closed-form inverse CDF) and an even interference term
-    e^{-(|dt|+|t|)/tau_r} (2 + 2 sign cos(delta t)), sampled by thinning.
-
-    The thinning envelope is chosen per row, so that every row accepts with
-    probability >= 1/3 and a block needs O(log n) proposal rounds. Opposite-
-    port rows with x = tau_r delta, x^2 < 2, thin a Gamma(3, tau_r) proposal,
-    because 1 - cos(delta t) <= (delta t)^2 / 2, and accept with
-    (sin(delta t/2) / (delta t/2))^2 at rate 1/(1 + x^2). Every other row
-    thins the exponential proposal with acceptance (1 + sign cos(delta t))/2,
-    at rate x^2 / (2 (1 + x^2)) >= 1/3 for opposite ports and >= 1/2 for
-    bunched pairs."""
-    n = dtau.size
-    a_abs = np.abs(dtau) / tau_r
-    x2 = (tau_r * delta) ** 2
-    m_wing = -2.0 * tau_r * np.expm1(-a_abs)  # each of the two wings
-    # 4 tau_r e^{-a} (1 + sign/(1 + x^2)), without cancellation at small x
-    m_int = 4.0 * tau_r * np.exp(-a_abs) * (x2 + 2.0 * ~opposite) / (1.0 + x2)
-    u_comp = g.random(n) * (2.0 * m_wing + m_int)
-    pick_int = u_comp >= 2.0 * m_wing
-    gam = pick_int & opposite & (x2 < 2.0)
-
-    tau = np.empty(n)
-    wing = np.flatnonzero(~pick_int)
-    if wing.size:
-        x = _sample_g_wing(tau_r, a_abs[wing], g.random(wing.size))
-        orient = np.where(u_comp[wing] < m_wing[wing], 1.0, -1.0) * np.sign(dtau[wing])
-        tau[wing] = orient * x
-    del a_abs, x2, m_wing, m_int, u_comp  # free the block-sized arrays before thinning
-    ig = np.flatnonzero(gam)
-    # np.sinc(y) = sin(pi y)/(pi y); (1 - cos x)/(x^2/2) would cancel to 0
-    _thin(g, tau, ig, partial(g.gamma, 3.0, tau_r), lambda t, d: np.sinc(d * t) ** 2,
-          delta[ig] / (2.0 * math.pi))
-    ie = np.flatnonzero(pick_int ^ gam)  # gam is a subset of pick_int
-    _thin(g, tau, ie, partial(g.exponential, tau_r), _accept_cos, delta[ie], 0.5 - opposite[ie])
-    return tau
-
-
-def _sample_t0(tau_r, dtau, delta, tau, opposite, u_seg, u_exp):
-    """First-detection time conditioned on the delay tau.
-
-    At fixed tau the kernel in t0 is exponential with rate 2/tau_r on two
-    segments: on [mn, mx), between the staggered packet onsets, only one
-    amplitude product is alive (relative weight 1 - e^{-rate (mx - mn)});
-    past mx the interference term rescales the amplitude to
-    2 -+ 2 cos(delta*tau). Every row gets the tail sample past mx; exp, cos
-    and the truncated exponential are evaluated only for rows with mx > mn,
-    since a row with mx == mn has a first segment of weight 0 and never
-    picks it (every row at dtau = 0)."""
-    o1 = dtau / 2.0
-    o2 = -dtau / 2.0
-    a = np.maximum(o1, o2 - tau)
-    b = np.maximum(o2, o1 - tau)
-    mn = np.minimum(a, b)
-    mx = np.maximum(a, b)
-    rate = 2.0 / tau_r
-    t0 = mx - np.log1p(-u_exp) / rate  # shifted exponential past mx
-    seg = np.flatnonzero(mx > mn)
-    if seg.size < mx.size:
-        mn, mx, delta, tau, opposite, u_seg, u_exp = (
-            v.take(seg) for v in (mn, mx, delta, tau, opposite, u_seg, u_exp))
-    s = np.exp(-rate * (mx - mn))
-    w1 = 1.0 - s
-    amp = 2.0 + np.where(opposite, -2.0, 2.0) * np.cos(delta * tau)
-    pick1 = u_seg * (w1 + np.maximum(amp, 1e-300) * s) < w1
-    # truncated exponential on [mn, mx)
-    t0[seg.compress(pick1)] = (mn - np.log1p(-u_exp * w1) / rate).compress(pick1)
-    return t0
-
-
 def _sample_meeting_pairs(tau_r, dtau, delta, g):
     """Joint outcome for pairs that overlap on the beam splitter: whether the
     photons split, the two detection times (relative to the pair midpoint)
-    and the port of each detection."""
+    and the port of each detection.
+
+    Two exponential packets with onsets -+dtau/2 and frequency difference
+    delta are detected at t_a, t_b with density
+    |psi_a(t_a) psi_b(t_b) -+ psi_b(t_a) psi_a(t_b)|^2, minus for opposite
+    ports. Summed over the ports it is the product of two independent
+    exponential packets; where both packets are alive at both times the two
+    products are equal, so given the times the pair splits with probability
+    (1 - c)/2, c = cos(delta (t_b - t_a)), and elsewhere with probability
+    1/2 (c = 0). Both packets are alive at both times when the photon of
+    the earlier packet is detected at least |dtau| after its onset, which is
+    tested, like the phase, on the exponential delays and |dtau| rather than
+    on the rounded times. A phase that is not finite (delta or the product
+    overflows) is fully dephased, c = 0. Every pair draws two exponentials,
+    one uniform and two coins and takes at most one cosine, whatever its
+    parameters; averaged over the times, the split probability is
+    (1 - e^{-|dtau|/tau_r} / (1 + tau_r^2 delta^2)) / 2."""
     n = dtau.size
-    p_split = 0.5 * (1.0 - np.exp(-np.abs(dtau) / tau_r) / (1.0 + (tau_r * delta) ** 2))
-    opposite = g.random(n) < p_split
-    del p_split  # not needed while the delays are thinned
-    tau = _sample_tau(tau_r, dtau, delta, opposite, g)
-    u_seg = g.random(n)
-    u_exp = g.random(n)
+    d = np.abs(dtau)
+    early = g.exponential(tau_r, n)  # delay of the photon whose packet starts at -d/2
+    late = g.exponential(tau_r, n)  # and of the one whose packet starts at +d/2
+    u = g.random(n)
+    swap = g.integers(0, 2, n, dtype=bool)  # True: photon a is the later packet's
     port_a = _coin(g, n)
-    t0 = _sample_t0(tau_r, dtau, delta, tau, opposite, u_seg, u_exp)
-    tau += t0  # the second detection
-    return opposite, t0, tau, port_a, port_a ^ opposite
+    both = np.flatnonzero(early >= d)
+    c = late.take(both)  # the phase delta (t_late - t_early), then its cosine
+    c -= early.take(both)
+    c += d.take(both)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c *= delta.take(both)
+        np.cos(c, out=c)
+    np.nan_to_num(c, copy=False, nan=0.0)
+    split = np.full(n, 0.5)  # (1 - c)/2
+    split[both] = 0.5 * (1.0 - c)
+    opposite = u < split
+    half = 0.5 * d
+    early -= half
+    late += half
+    t_a = np.where(swap, late, early)
+    t_b = np.where(swap, early, late)
+    return opposite, t_a, t_b, port_a, port_a ^ opposite
 
 
 def _sample_independent(onsets, tau_r, g):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,25 @@ class TestSimulate:
         s = json.loads((out / "summary.json").read_text())
         assert s["effective_config"]["delta0_rad_per_ns"] == pytest.approx(
             3.0 / 0.6582119569, rel=1e-12)
+
+    @pytest.mark.parametrize("delta0, sigma_g", [
+        (0.0, 1e200), (0.0, 1e308), (1e200, 0.0), (1e308, 0.0),
+    ], ids=["sigma_g-1e200", "sigma_g-1e308", "delta0-1e200", "delta0-1e308"])
+    def test_extreme_detuning_is_fully_dephased(self, tmp_path, capsys, delta0, sigma_g):
+        # (tau_r delta)^2 overflows, and at sigma_g = 1e308 some detunings
+        # are infinite: every pair is dephased, so g2_indist reads 1/2
+        raw = json.loads((CONFIG_DIR / "remote-qd.json").read_text(encoding="utf-8"))
+        raw.update(n_pulses=100_000, delta0_rad_per_ns=delta0, sigma_g_rad_per_ns=sigma_g)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        g2 = json.loads((out / "summary.json").read_text())["results"]["g2_indist"]
+        assert g2["analytic"] == pytest.approx(0.5, abs=1e-12)
+        assert abs(g2["monte_carlo"] - 0.5) < 3 * g2["stat_error"]
 
 
 class TestSweep:
@@ -744,6 +764,14 @@ class TestConfigSchema:
             assert "did you mean" not in line
         else:
             assert line.endswith(f"did you mean {near}?")
+
+    @pytest.mark.parametrize("update, path", [
+        ({"seed": 5}, "seed"),
+        ({"detector": {"seed": 5}}, "detector.seed"),
+    ], ids=["top-level", "other-section"])
+    def test_key_in_the_wrong_section_points_at_its_field(self, tmp_path, capsys, update, path):
+        code, line = self.run(tmp_path, capsys, **update)
+        assert (code, line) == (2, f"error: {path}: unknown field; did you mean rng.seed?")
 
     def test_literal_dotted_key_is_unknown(self, tmp_path, capsys):
         code, line = self.run(tmp_path, capsys, **{"detector.efficiency": 0.1})

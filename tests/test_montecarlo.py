@@ -31,9 +31,7 @@ from homsim.montecarlo import (
     _correlate,
     _mode_detections,
     _route_hbt,
-    _sample_g_wing,
-    _sample_t0,
-    _sample_tau,
+    _sample_meeting_pairs,
     _simulate_block,
     analytic_g2_indist,
     analytic_visibility,
@@ -59,29 +57,19 @@ def chi2_upper_quantile(dof, tail):
 
 
 class CountingGenerator:
-    """A Generator that counts thinning proposal rounds (one exponential or
-    gamma draw per round) and fails past max_rounds instead of looping, and
-    counts the normal variates drawn."""
+    """A Generator that counts its exponential calls and the normal
+    variates it draws."""
 
-    def __init__(self, g, max_rounds=100_000):
-        self._g, self.rounds, self.max_rounds = g, 0, max_rounds
-        self.normal_calls = self.normals = 0
+    def __init__(self, g):
+        self._g = g
+        self.exponential_calls = self.normal_calls = self.normals = 0
 
     def __getattr__(self, name):
         return getattr(self._g, name)
 
-    def _round(self):
-        self.rounds += 1
-        if self.rounds > self.max_rounds:
-            raise RuntimeError(f"more than {self.max_rounds} proposal rounds")
-
     def exponential(self, *args):
-        self._round()
+        self.exponential_calls += 1
         return self._g.exponential(*args)
-
-    def gamma(self, *args):
-        self._round()
-        return self._g.gamma(*args)
 
     def normal(self, *args):
         out = self._g.normal(*args)
@@ -110,26 +98,6 @@ def correlate_by_repeat(times, ports, halfspan, bin_width, nbins):
     ok = (bins >= 0) & (bins < nbins)
     counts += np.bincount(bins[ok], minlength=nbins)
     return counts, int(ok.sum())
-
-
-def sample_t0_two_branch(tau_r, dtau, delta, tau, opposite, u_seg, u_exp):
-    """Reference for _sample_t0: both segment branches for every row, as
-    the sampler computed them up to version 0.6.0."""
-    o1 = dtau / 2.0
-    o2 = -dtau / 2.0
-    a = np.maximum(o1, o2 - tau)
-    b = np.maximum(o2, o1 - tau)
-    mn = np.minimum(a, b)
-    mx = np.maximum(a, b)
-    rate = 2.0 / tau_r
-    s = np.exp(-rate * (mx - mn))
-    amp = 2.0 + np.where(opposite, -2.0, 2.0) * np.cos(delta * tau)
-    w1 = 1.0 - s
-    w2 = np.maximum(amp, 1e-300) * s
-    pick1 = u_seg * (w1 + w2) < w1
-    t_trunc = mn - np.log1p(-u_exp * (1.0 - s)) / rate
-    t_tail = mx - np.log1p(-u_exp) / rate
-    return np.where(pick1, t_trunc, t_tail)
 
 
 def remote_scenario(n_pulses=100_000, **kw):
@@ -254,14 +222,14 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.9.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.10.0"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
-    (MODE_REMOTE, False): "98642e529a70d11e71c75dabe2e6ec8f844f459e470054c026c34c03ce3ba19c",
-    (MODE_REMOTE, True): "03a2d9c04ebb74c3fa906c0cd2839a4dc239df51cbf69649b542191babc14ecc",
-    (MODE_CONSECUTIVE, False): "c00611202ce0c03213cbc2f834ddb2b3f766cca6df8927157f836f73e3822a64",
-    (MODE_CONSECUTIVE, True): "b90ee720ee17381779bb5e3fb5680223d114727f2ec0ed623abc60c6d3d9d5be",
-    (MODE_DOUBLE_PULSE, False): "aca141381da6e1505355bf265abc588b9f3e32dad70e79ca047352adcd4b49e9",
-    (MODE_DOUBLE_PULSE, True): "6c4d12d73680349570482ed7b7f20af9cd05feee112cf4cfb8ae5259d5774ca7",
+    (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
+    (MODE_REMOTE, True): "3c96ad2447ee050937ed36f193c2acb9b4328aba38666f6f023ae4894736c6e3",
+    (MODE_CONSECUTIVE, False): "c62d25368cf0d26d9722a10fdf08da4b52bfdcd04b083971bf8f0e45101e5410",
+    (MODE_CONSECUTIVE, True): "96408b713f02716ace17a3483c61cdef1062f41981a949f6b5b26f2b1431bf94",
+    (MODE_DOUBLE_PULSE, False): "0eeb195f33f11956cd4e7f2f6a9abf0bea5a552e10ae06beeabb76960985360e",
+    (MODE_DOUBLE_PULSE, True): "b944686b2e519f17beb0154c714f2f376d0d12b3ee90e6ecf67910b6c4bb4f49",
     (MODE_CROSS_POLARIZED, False): "59843641c47eebe14ccbc78a8c299e8eeb1eb22233b0eb5517752f0c3e74e889",
     (MODE_CROSS_POLARIZED, True): "504be786561c9c3c15f62fc1eefaaf9ace73e24011ca885dfd345c2dd5ae1360",
     ("hbt", False): "b0a942fca4e443ca179a465a3d27d9103534cff9d4da2c2ac7ba4d9bac400779",
@@ -385,25 +353,58 @@ class TestPairEvents:
 
 
 class TestPairSampler:
-    def test_proposal_rounds_bounded_on_remote_qd_block(self):
-        # every remote-qd pulse is a meeting pair at dtau = 0; one envelope
-        # for all rows took 1,344 rounds on this block
+    @pytest.mark.parametrize("dtau", [0.0, -0.0, 1e-300, 0.3, -2.0, 500.0])
+    def test_split_share_given_the_detuning(self, dtau):
+        # at a fixed detuning the pairs split with probability
+        # (1 - e^{-|dtau|/tau_r} / (1 + tau_r^2 delta^2)) / 2, from the
+        # Fourier limit (tau_r delta = 1e-9) to full dephasing (1e6)
+        tau_r, n = 0.67, 200_000
+        g = np.random.Generator(np.random.SFC64(18))
+        for x in (1e-9, 0.3, 1.0, 3.0, 1e6):
+            opposite, t_a, t_b, _, _ = _sample_meeting_pairs(
+                tau_r, np.full(n, dtau), np.full(n, x / tau_r), g)
+            assert np.all(np.isfinite(t_a)) and np.all(np.isfinite(t_b))
+            p = 0.5 * (1.0 - math.exp(-abs(dtau) / tau_r) / (1.0 + x * x))
+            sd = math.sqrt(max(p * (1 - p), 1.0 / n) / n)
+            assert abs(opposite.mean() - p) < 4 * sd, (x, opposite.mean(), p)
+
+    def test_delay_sign_is_a_fair_coin_at_an_offset(self):
+        # at dtau = 5 ns = 7.5 tau_r almost every delay is near +-5 ns, and
+        # which photon is detected first is a fair coin
+        n = 200_000
+        scn = remote_scenario(pair=PairSpec(tau_r=0.67, delta_tau=5.0, sigma_g=SIGMA_REMOTE))
+        batch = sample_pair_events(scn, n, RngSpec(seed=19))
+        assert abs((batch.tau > 0).mean() - 0.5) < 4 * math.sqrt(0.25 / n)
+
+    @pytest.mark.parametrize("dtau", [0.3, 1.0, -2.0])
+    def test_opposite_port_delay_density_at_an_offset(self, dtau):
+        # opposite-port delays against n times the bin integrals of p_inhom,
+        # which carries the split share (1 - e^{-|dtau|/tau_r} V)/2 and the
+        # kinks at +-dtau
+        n = 1_000_000
+        pair = PairSpec(tau_r=0.67, delta_tau=dtau, sigma_g=SIGMA_REMOTE)
+        batch = sample_pair_events(remote_scenario(pair=pair), n, RngSpec(seed=11))
+        taus = batch.tau[batch.opposite_port]
+        span = abs(dtau) + 6 * pair.tau_r
+        edges = np.linspace(-span, span, 91)
+        hist, _ = np.histogram(taus, bins=edges)
+        xs = np.linspace(edges[:-1], edges[1:], 41, axis=1)
+        expected = n * np.trapezoid(p_inhom(xs, pair), xs, axis=1)
+        z = (hist - expected) / np.sqrt(np.maximum(expected, 1.0))
+        assert np.abs(z).max() < 5.0
+        assert float(np.sum(z ** 2)) < chi2_upper_quantile(edges.size - 1, 1e-4)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_remote_qd_block_draws_two_exponential_arrays(self, seed):
+        # every remote-qd pulse is a meeting pair, and the pair sampler has
+        # no loop that depends on the data: one exponential call for each
+        # photon of all the pairs, whatever the seed
         scn = load_config(CONFIG_DIR / "remote-qd.json").scenario
-        g = CountingGenerator(_chunk_rng(RngSpec(seed=7), 0))
+        g = CountingGenerator(_chunk_rng(RngSpec(seed=seed), 0))
         times, _ = _mode_detections(_ROUTES[scn.mode], scn, g,
                                     np.arange(CHUNK_PULSES) * scn.rep_period)
         assert times.size == 2 * CHUNK_PULSES
-        assert g.rounds <= 60
-
-    def test_interference_null_terminates_at_gamma_limit(self):
-        # opposite ports at tau_r delta = 1e-9: the interference density
-        # (1 - cos(delta t)) e^{-|t|/tau_r} tends to t^2 e^{-|t|/tau_r}, a
-        # signed Gamma(3, tau_r) with E|t| = 3 tau_r and E t^2 = 12 tau_r^2
-        tau_r, n = 0.67, 200_000
-        g = CountingGenerator(np.random.Generator(np.random.Philox(5)), max_rounds=200)
-        tau = _sample_tau(tau_r, np.zeros(n), np.full(n, 1e-9 / tau_r), np.ones(n, bool), g)
-        assert abs(np.abs(tau).mean() - 3 * tau_r) < 5 * math.sqrt(3) * tau_r / math.sqrt(n)
-        assert abs(tau.mean()) < 5 * math.sqrt(12) * tau_r / math.sqrt(n)
+        assert g.exponential_calls == 2
 
     def test_far_offset_wing_in_log_space(self):
         # dtau = 500 ns is 746 tau_r: e^{-dtau/tau_r} underflows, and the
@@ -414,46 +415,6 @@ class TestPairSampler:
         for arr in (batch.tau, batch.t_a, batch.t_b):
             assert np.all(np.isfinite(arr))
         assert abs(np.median(np.abs(batch.tau)) - 500.0) < 5 * 0.67 / math.sqrt(n)
-
-    @pytest.mark.parametrize("dtau", [1e-12, 0.1, 1.0, 5.0, 500.0])
-    def test_wing_matches_its_cdf(self, dtau):
-        # Kolmogorov distance to the closed-form wing CDF (mpmath), against
-        # the DKW bound at 1e-6; at 1e-12 ns the wing is e^{-x/tau_r} past
-        # |dtau| to within (dtau/tau_r)^2
-        tau_r, n = 0.67, 100_000
-        x = np.sort(_sample_g_wing(tau_r, np.full(n, dtau / tau_r),
-                                   np.random.default_rng(15).random(n)))
-        assert np.all(np.isfinite(x)) and x[0] >= 0.0
-        a = mpmath.mpf(dtau) / tau_r
-
-        def cdf(v):
-            v = mpmath.mpf(v) / tau_r
-            em, em2 = -mpmath.expm1(-a), -mpmath.expm1(-2 * a)
-            if v < a:
-                return mpmath.exp(-a) * (mpmath.cosh(v) - 1) / em
-            return (em ** 2 - mpmath.expm1(a - v) * em2) / (2 * em)
-
-        probes = x[np.linspace(0, n - 1, 201).astype(int)]
-        emp = np.searchsorted(x, probes, side="right") / n
-        ref = np.array([float(cdf(v)) for v in probes])
-        assert np.max(np.abs(emp - ref)) < math.sqrt(math.log(2 / 1e-6) / (2 * n))
-
-    def test_t0_matches_two_branch_reference_bitwise(self):
-        # rows at dtau = 0 (both signs of zero), 1e-300 and far beyond tau_r,
-        # bunched and opposite ports, and delta * tau up to 1e6 rad
-        rng = np.random.default_rng(17)
-        tau_r, n = 0.67, 40_000
-        dtau = rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.3, -2.0, 500.0, -1e4], n)
-        tau = np.where(rng.random(n) < 0.1, rng.choice([0.0, -0.0], n), rng.laplace(0.0, tau_r, n))
-        delta = rng.normal(0.0, 4.0, n) * rng.choice([1.0, 1e3, 1e6], n)
-        opposite = rng.random(n) < 0.5
-        u_seg, u_exp = rng.random(n), rng.random(n)
-        u_exp[:100] = 0.0
-        ref = sample_t0_two_branch(tau_r, dtau, delta, tau, opposite, u_seg, u_exp)
-        for rows in (slice(None), dtau == 0.0, dtau != 0.0):
-            args = [v[rows] for v in (dtau, delta, tau, opposite, u_seg, u_exp)]
-            got = _sample_t0(tau_r, *args)
-            assert got.tobytes() == ref[rows].tobytes()
 
     def test_correlate_matches_pair_enumeration(self):
         # lossy, jittery detector with dark counts, at a window wide enough
