@@ -48,8 +48,8 @@ class _Field(NamedTuple):
     """attr: the ScenarioConfig attribute the field sets (None for the
     schema_version constant and the _uev alternates); kind: float, int, bool,
     a tuple of allowed values or a list of them (a non-empty list drawn from
-    it); default: a value, _REQUIRED, or None (resolved from other fields, or
-    absent); lo, hi: inclusive bounds."""
+    it); default: a value, _REQUIRED, or None (derived or absent); lo, hi:
+    inclusive bounds (1e300 ns keeps a block's time draws and sums finite)."""
 
     attr: str | None
     kind: object
@@ -62,7 +62,7 @@ _REQUIRED = "required"
 _FIELDS = {
     "schema_version": _Field(None, (SCHEMA_VERSION,), _REQUIRED),
     "mode": _Field("scenario.mode", MODES, _REQUIRED),
-    "tau_r_ns": _Field("scenario.pair.tau_r", float, _REQUIRED),
+    "tau_r_ns": _Field("scenario.pair.tau_r", float, _REQUIRED, hi=1e300),
     "delta_tau_ns": _Field("scenario.pair.delta_tau", float, 0.0),
     "delta0_rad_per_ns": _Field("scenario.pair.delta0", float, 0.0),
     "delta0_uev": _Field(None, float, None),
@@ -70,11 +70,11 @@ _FIELDS = {
     "sigma_g_uev": _Field(None, float, None),
     "rep_period_ns": _Field("scenario.rep_period", float, _REQUIRED),
     "intra_delay_ns": _Field("scenario.intra_delay", float, None),
-    "emission_jitter_ns": _Field("scenario.emission_jitter", float, 0.0),
+    "emission_jitter_ns": _Field("scenario.emission_jitter", float, 0.0, hi=1e300),
     # _chunk_rng keys each block by a block index below 2^32
     "n_pulses": _Field("scenario.n_pulses", int, 100_000, 1, CHUNK_PULSES * 2 ** 32),
     "detector.efficiency": _Field("scenario.detector.efficiency", float, 1.0),
-    "detector.timing_jitter_sigma_ns": _Field("scenario.detector.timing_jitter_sigma", float, 0.0),
+    "detector.timing_jitter_sigma_ns": _Field("scenario.detector.timing_jitter_sigma", float, 0.0, hi=1e300),
     "detector.dark_rate_per_ns": _Field("scenario.detector.dark_rate", float, 0.0),
     "rng.seed": _Field("rng.seed", int, _REQUIRED),
     "rng.stream_id": _Field("rng.stream_id", int, 0),

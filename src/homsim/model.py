@@ -3,8 +3,9 @@
 Covers the homogeneous-dephasing correlation function of the central
 coincidence peak, its ensemble average over Gaussian shot-to-shot frequency
 jitter of the emission line, and the visibility formulas derived from both
-pictures. Every quantity here is a closed form; the quadrature versions they
-are checked against are test code, not part of the package.
+pictures; visibility_inhom_direct is the one evaluator of the jitter-averaged
+(Voigt) overlap. Every quantity here is a closed form; the quadrature
+versions they are checked against are test code, not part of the package.
 
 Conventions used throughout:
 
@@ -19,7 +20,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "sigma_for_visibility",
     "coherence_integral",
     "michelson_contrast",
-    "visibility_from_g2",
     "time_jitter_overlap_factor",
 ]
 
@@ -141,24 +140,17 @@ def _check_hom_domain(tau_r, tau_c):
             f"tau_c = {tau_c} exceeds the Fourier limit 2*tau_r = {2 * tau_r} (unphysical coherence)")
 
 
-def g2_hom_peak(tau, delta_tau, tau_r: float, tau_c: float):
+def g2_hom_peak(tau, tau_r: float, tau_c: float):
     """Central-peak correlation density for two photons with identical
-    frequency, arrival offset delta_tau, homogeneous dephasing only:
+    frequency and no arrival offset, homogeneous dephasing only:
 
-        1/4 e^{-|t-dt|/tau_r} + 1/4 e^{-|t+dt|/tau_r}
-        - 1/2 e^{-(2/tau_c - 1/tau_r)|t| - |t-dt|/(2 tau_r) - |t+dt|/(2 tau_r)}
+        1/2 e^{-|t|/tau_r} - 1/2 e^{-2|t|/tau_c}
 
-    Accepts scalars or arrays in tau / delta_tau.
+    Accepts a scalar or an array in tau.
     """
     _check_hom_domain(tau_r, tau_c)
-    tau = np.asarray(tau, dtype=float)
-    delta_tau = np.asarray(delta_tau, dtype=float)
-    am = np.abs(tau - delta_tau)
-    ap = np.abs(tau + delta_tau)
-    out = (0.25 * np.exp(-am / tau_r)
-           + 0.25 * np.exp(-ap / tau_r)
-           - 0.5 * np.exp(-(2.0 / tau_c - 1.0 / tau_r) * np.abs(tau)
-                          - am / (2 * tau_r) - ap / (2 * tau_r)))
+    a = np.abs(np.asarray(tau, dtype=float))
+    out = 0.5 * np.exp(-a / tau_r) - 0.5 * np.exp(-2.0 * a / tau_c)
     if out.ndim == 0:
         return float(out)
     return out
@@ -211,8 +203,10 @@ def visibility_inhom_direct(tau_r: float, sigma_g, delta0=0.0):
 
     the Lorentzian overlap 1/(1 + tau_r^2 D^2) averaged over the pair
     detuning D ~ N(delta0, 2 sigma_g^2) (a Voigt profile). At delta0 = 0 it
-    is sqrt(pi) * x * erfcx(x); as sigma_g -> 0 it tends to
-    1/(1 + tau_r^2 delta0^2).
+    is sqrt(pi) * x * erfcx(x); at sigma_g = 0 the continued fraction's
+    scale is 0 and it returns the Lorentzian 1/(1 + tau_r^2 delta0^2) itself.
+    This is the one checked Voigt evaluator: every closed form of the
+    remote-pair visibility in the package goes through it.
 
     Equals 1 - 2 * integral of p_inhom over all delays, i.e. the convention
     in which fully distinguishable photons give V = 0 and g2 = 0.5. The
@@ -221,36 +215,26 @@ def visibility_inhom_direct(tau_r: float, sigma_g, delta0=0.0):
 
     Elementwise over sigma_g and delta0, scalars or arrays that broadcast
     together: scalar input gives a float, array input a float array. A
-    single sigma_g that is not finite and > 0, or delta0 that is not
+    single sigma_g that is not finite and >= 0, or delta0 that is not
     finite, raises ValueError.
     """
     if not (tau_r > 0 and math.isfinite(tau_r)):
         raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
     sigma_g, delta0 = np.broadcast_arrays(np.asarray(sigma_g, dtype=float),
                                           np.asarray(delta0, dtype=float))
-    bad = ~((sigma_g > 0) & np.isfinite(sigma_g))
+    bad = ~((sigma_g >= 0) & np.isfinite(sigma_g))
     if bad.any():
-        raise ValueError(f"sigma_g must be finite and > 0, got {sigma_g[bad][0]}")
+        raise ValueError(f"sigma_g must be finite and >= 0, got {sigma_g[bad][0]}")
     bad = ~np.isfinite(delta0)
     if bad.any():
         raise ValueError(f"delta0 must be finite, got {delta0[bad][0]}")
-    out = _voigt(tau_r, sigma_g, delta0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _voigt(tau_r, sigma_g, delta0):
-    """visibility_inhom_direct without its checks: the one Voigt kernel
-    behind every closed form of the remote-pair visibility. At sigma_g = 0
-    the continued fraction's scale is 0 and it returns the Lorentzian
-    1/(1 + tau_r^2 delta0^2) itself. Takes float arrays (or NumPy floats)
-    of one shape, with tau_r finite and > 0, sigma_g >= 0, delta0 finite."""
     with np.errstate(over="ignore"):
         a, s = tau_r * delta0, 2.0 * tau_r * sigma_g
     # V < 1e-300 once either product leaves the float range
     out = np.zeros(a.shape)
     inside = np.isfinite(a) & np.isfinite(s)
     out[inside] = _scaled_erfcx(1.0 - 1j * a[inside], s[inside]).real
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def coherence_integral(tau_r: float, sigma: float) -> float:
@@ -263,12 +247,7 @@ def coherence_integral(tau_r: float, sigma: float) -> float:
     visibility, and it is evaluated so: coherence_integral(tau_r, sigma_g)
     = 2 tau_r * visibility_inhom_direct(tau_r, sigma_g) for identical
     emitters (delta0 = 0, delta_tau = 0)."""
-    # every check is written so that NaN fails it
-    if not (tau_r > 0 and math.isfinite(tau_r)):
-        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
-    if not (sigma >= 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return 2.0 * tau_r * float(_voigt(tau_r, np.float64(sigma), np.float64(0.0)))
+    return 2.0 * tau_r * visibility_inhom_direct(tau_r, sigma)
 
 
 def sigma_from_coherence(tau_r: float, tau_c_target: float) -> float:
@@ -299,12 +278,11 @@ def sigma_for_visibility(tau_r: float, visibility: float) -> float:
         raise ValueError(f"visibility must lie in (0, 1), got {visibility}")
     # V depends on u = tau_r * sigma_g alone; it rounds to 1 at u = 2^-40
     # and is 0 at u = 2^1023, where 2 u overflows
-    v = lambda u: float(_voigt(1.0, np.float64(u), np.float64(0.0)))
     lo, hi = 2.0 ** -40, 2.0 ** 1023
     while hi - lo > 1e-14 * lo:
         # log-space bisection: u spans many decades, and lo * hi would overflow
         mid = math.sqrt(lo) * math.sqrt(hi)
-        if v(mid) > visibility:
+        if visibility_inhom_direct(1.0, mid) > visibility:
             lo = mid
         else:
             hi = mid
@@ -338,18 +316,6 @@ def michelson_contrast(dt, params: EmitterParams):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def visibility_from_g2(g2_indist: float) -> float:
-    """Peak-area visibility v = 1 - 2 * g2_indist. Values of g2 above 0.5
-    (classical excess) produce a warning; the value is still returned."""
-    if g2_indist < 0:
-        raise ValueError(f"g2_indist must be >= 0, got {g2_indist}")
-    if g2_indist > 0.5:
-        warnings.warn(
-            f"g2_indist = {g2_indist} exceeds 0.5 (classical excess); visibility is negative",
-            stacklevel=2)
-    return 1.0 - 2.0 * g2_indist
 
 
 def time_jitter_overlap_factor(tau_r: float, delta_tau, jitter_sigma: float):

@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import PairSpec, _voigt, time_jitter_overlap_factor
+from .model import PairSpec, time_jitter_overlap_factor, visibility_inhom_direct
 
 __all__ = [
     "MODE_CONSECUTIVE",
@@ -66,7 +66,6 @@ __all__ = [
     "simulate_hbt_purity",
     "analytic_visibility",
     "analytic_visibility_at",
-    "analytic_g2_indist",
     "hbt_analytic_g2",
     "multi_photon_prob_for_g2",
 ]
@@ -541,29 +540,17 @@ def analytic_visibility_at(scenario: InterferenceScenario, delta_tau, delta0, si
     """Model prediction for the peak-area interference visibility of the
     scenario with its pair's arrival offset, mean detuning and jitter scale
     replaced by delta_tau, delta0 and sigma_g, in closed form: the
-    detuning/jitter ensemble average (the Voigt overlap of
-    visibility_inhom_direct, which is 1/(1 + tau_r^2 delta0^2) at
-    sigma_g = 0) times the arrival-time overlap factor from deliberate
-    delay and emission jitter.
+    detuning/jitter ensemble average visibility_inhom_direct (the
+    Lorentzian 1/(1 + tau_r^2 delta0^2) at sigma_g = 0) times the
+    arrival-time overlap factor from deliberate delay and emission jitter.
+    Crossed polarizations never interfere and give 0.
 
     Elementwise over delta_tau, delta0 and sigma_g, scalars or arrays that
     broadcast together: scalars give a float, arrays a float array. A
-    single value that is not finite, or a sigma_g < 0, raises ValueError.
+    single value that is not finite, or a sigma_g < 0, raises ValueError
+    in every mode.
     """
-    delta_tau, delta0, sigma_g = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (delta_tau, delta0, sigma_g)))
-    if not (np.isfinite(delta_tau).all() and np.isfinite(delta0).all()
-            and (np.isfinite(sigma_g) & (sigma_g >= 0)).all()):
-        raise ValueError("delta_tau, delta0 and sigma_g must be finite, with sigma_g >= 0")
-    if scenario.mode == MODE_CROSS_POLARIZED:
-        out = np.zeros(delta_tau.shape)
-    else:
-        tau_r = scenario.pair.tau_r
-        out = (time_jitter_overlap_factor(tau_r, delta_tau, scenario.emission_jitter)
-               * _voigt(tau_r, sigma_g, delta0))
-    return float(out) if out.ndim == 0 else out
-
-
-def analytic_g2_indist(scenario: InterferenceScenario) -> float:
-    """Model prediction for the measured g2_indist: (1 - visibility)/2."""
-    return 0.5 * (1.0 - analytic_visibility(scenario))
+    tau_r = scenario.pair.tau_r
+    out = (time_jitter_overlap_factor(tau_r, delta_tau, scenario.emission_jitter)
+           * visibility_inhom_direct(tau_r, sigma_g, delta0))
+    return out * (scenario.mode != MODE_CROSS_POLARIZED)

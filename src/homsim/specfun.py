@@ -1,10 +1,10 @@
 """Special functions used by the interference model.
 
 Everything here is generic numerics with no photon physics: the scaled
-complementary error function exp(z^2)*erfc(z) for complex z with
-Re z >= 0, and erfcx, its real axis x >= 0. One array kernel,
-_erfcx_array, evaluates both; it stays finite where the plain product
-overflows.
+complementary error function erfcx(z) = exp(z^2)*erfc(z) for complex z
+with Re z >= 0, real axis included. One unchecked array kernel,
+_erfcx_array, evaluates it, and _scaled_erfcx builds on it; both stay
+finite where the plain product overflows.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "erfcx",
-    "erfcx_complex",
-]
+__all__ = []
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -43,21 +40,6 @@ def _weideman_coefficients(n):
 _WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
 
 
-def erfcx(x):
-    """Scaled complementary error function exp(x^2) * erfc(x) for real
-    x >= 0: the real axis of erfcx_complex's kernel, which never overflows
-    and decays like 1/(x*sqrt(pi)) as x grows. Elementwise like
-    erfcx_complex: a scalar gives a float, an array a float array, and a
-    single element that is not finite and >= 0 raises ValueError.
-    """
-    x = np.asarray(x, dtype=float)
-    bad = ~((x >= 0.0) & np.isfinite(x))
-    if bad.any():
-        raise ValueError(f"erfcx requires finite x >= 0, got {x[bad][0]}")
-    out = _erfcx_array(x.astype(complex)).real
-    return float(out) if out.ndim == 0 else out
-
-
 def _laplace_cf(w, h=1.0):
     """Bottom-up value of w + (h/2)/(w + h/(w + (3h/2)/(w + ...))) over
     40 levels, for complex w with Re w >= 0; elementwise over arrays of
@@ -74,9 +56,11 @@ def _laplace_cf(w, h=1.0):
     return t
 
 
-def erfcx_complex(z):
-    """Scaled complementary error function exp(z^2) * erfc(z) for finite
-    complex z with Re z >= 0, elementwise over a scalar or an array.
+def _erfcx_array(z):
+    """Scaled complementary error function exp(z^2) * erfc(z), elementwise
+    over a complex array the caller knows to be finite with Re z >= 0 (real
+    +inf gives 0, its limit); nothing is checked. On the real axis it never
+    overflows and decays like 1/(x*sqrt(pi)) as x grows.
 
     Below |z| = 8 this is Weideman's N = 40 rational expansion of
     w(iz) = erfcx(z) in Z = (L - z)/(L + z),
@@ -85,26 +69,8 @@ def erfcx_complex(z):
 
     whose coefficients are computed once at import; from there out it is
     the Laplace continued fraction. Both agree with mpmath to about 1e-15
-    relative; erfcx is the real axis of the same kernel.
-    Scalar input gives a Python complex, array input a complex array of the
-    same shape; a single element that is not finite or has Re z < 0 raises
-    ValueError.
+    relative over the right half-plane.
     """
-    z = np.asarray(z, dtype=complex)
-    bad = ~np.isfinite(z)
-    if bad.any():
-        raise ValueError(f"erfcx_complex requires finite input, got {z[bad][0]}")
-    bad = z.real < 0.0
-    if bad.any():
-        raise ValueError(f"erfcx_complex is defined for Re z >= 0 only, got {z[bad][0]}")
-    out = _erfcx_array(z)
-    return complex(out) if out.ndim == 0 else out
-
-
-def _erfcx_array(z):
-    """erfcx_complex of a complex array already known to be finite with
-    Re z >= 0: the continued fraction on the rows with |z| >= 8, the
-    rational expansion on the others. Real +inf gives 0, its limit."""
     out = np.empty_like(z)
     far = np.abs(z) >= _ERFCX_COMPLEX_CF_RADIUS
     if far.any():  # each branch loops 40 times, so an empty one is skipped

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homsim import PairSpec, erfcx, p_inhom
+from homsim import PairSpec, p_inhom
+from homsim.specfun import _erfcx_array
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -307,7 +308,8 @@ def visibility_inhom_closed(tau_r: float, sigma_g: float) -> float:
     if not (tau_r > 0 and sigma_g > 0):
         raise ValueError(f"tau_r and sigma_g must be > 0, got {tau_r}, {sigma_g}")
     x = 1.0 / (2.0 * tau_r * sigma_g)
-    return 1.0 - (1.0 / (tau_r * sigma_g)) * (2.0 * tau_r * sigma_g - _SQRT_PI * erfcx(x))
+    erfcx = float(_erfcx_array(np.asarray(complex(x))).real)
+    return 1.0 - (1.0 / (tau_r * sigma_g)) * (2.0 * tau_r * sigma_g - _SQRT_PI * erfcx)
 
 
 def visibility_inhom_quadrature(pair: PairSpec, spec: QuadratureSpec | None = None) -> float:

@@ -29,7 +29,7 @@ from homsim.montecarlo import (
     InterferenceScenario,
     MODE_REMOTE,
     RngSpec,
-    analytic_g2_indist,
+    analytic_visibility,
     multi_photon_prob_for_g2,
     simulate_hbt_purity,
     simulate_histogram,
@@ -92,7 +92,7 @@ class TestCriterion2CentralPeakAreaLimits:
         for v in (0.01, 0.1, 0.25, 0.5, 0.75, 1.0):
             tc = 2 * TAU_R * v
             span = 45.0 * TAU_R
-            f = lambda t: g2_hom_peak(t, 0.0, TAU_R, tc)
+            f = lambda t: g2_hom_peak(t, TAU_R, tc)
             raw = integrate_1d(f, -span, 0.0, spec) + integrate_1d(f, 0.0, span, spec)
             worst = max(worst, abs(central_peak_area_hom(TAU_R, tc) - raw / (2 * TAU_R)))
         ok = ok and worst <= 1e-9
@@ -205,7 +205,7 @@ class TestCriterion5MonteCarloConvergence:
                                    n_pulses=1_000_000)
         h = simulate_histogram(scn, RngSpec(seed=20140101), window_periods=4)
         rep = peak_areas(h, 7 * TAU_R, 6)  # wide window: truncation << stat error
-        ref = analytic_g2_indist(scn)
+        ref = (1.0 - analytic_visibility(scn)) / 2.0
         elapsed = time.perf_counter() - t0
         ok = abs(rep.g2_indist - ref) < 3 * rep.g2_indist_err
         ok = ok and 0.30 < rep.g2_indist < 0.33  # the published 0.31 +/- 0.01 scale

@@ -798,6 +798,22 @@ class TestConfigSchema:
     def test_section_that_is_not_an_object_exit_2(self, tmp_path, capsys, update, path):
         assert self.run(tmp_path, capsys, **update) == (2, f"error: {path}: expected a JSON object")
 
+    @pytest.mark.parametrize("update, path", [
+        ({"tau_r_ns": 1e308}, "tau_r_ns"),
+        ({"emission_jitter_ns": 1e308}, "emission_jitter_ns"),
+        ({"detector": {"timing_jitter_sigma_ns": 1e308}}, "detector.timing_jitter_sigma_ns"),
+    ], ids=["tau_r_ns", "emission_jitter_ns", "detector.timing_jitter_sigma_ns"])
+    def test_time_scale_past_1e300_ns_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                               update, path):
+        # at 1e308 ns a block's draws overflow to infinity and its detection
+        # times turn NaN; up to 1e300 ns they and their sums stay finite
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a config past a time-scale bound")
+
+        monkeypatch.setattr("homsim.cli.simulate_histogram", no_simulation)
+        assert self.run(tmp_path, capsys, **update) == (
+            2, f"error: {path}: must be <= 1e+300, got 1e+308")
+
     def test_integer_past_the_float_range_exit_2(self, tmp_path, capsys):
         code, line = self.run(tmp_path, capsys, tau_r_ns=10 ** 400)
         assert code == 2 and line.startswith("error: tau_r_ns: expected a finite number")

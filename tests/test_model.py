@@ -18,11 +18,10 @@ from homsim.model import (
     sigma_for_visibility,
     sigma_from_coherence,
     time_jitter_overlap_factor,
-    visibility_from_g2,
     visibility_hom,
     visibility_inhom_direct,
 )
-from homsim.specfun import erfcx
+from homsim.specfun import _erfcx_array
 from oracles_quadrature import (
     DegenerateJitterError,
     PhotonWavePacket,
@@ -64,40 +63,35 @@ class TestCoherenceTime:
 
 class TestG2HomPeak:
     def test_vanishes_at_origin(self):
-        assert g2_hom_peak(0.0, 0.0, 1.0, 1.3) == pytest.approx(0.0, abs=1e-15)
+        assert g2_hom_peak(0.0, 1.0, 1.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_fourier_limit_identically_zero(self):
         taus = np.linspace(-5, 5, 101)
-        assert np.max(np.abs(g2_hom_peak(taus, 0.0, 1.0, 2.0))) < 1e-14
+        assert np.max(np.abs(g2_hom_peak(taus, 1.0, 2.0))) < 1e-14
 
     def test_hand_evaluated_point(self):
-        # at delta_tau=0 the correlation reduces to
-        # 0.5 e^{-|t|/tau_r} - 0.5 e^{-2|t|/tau_c}
+        # the correlation is 0.5 e^{-|t|/tau_r} - 0.5 e^{-2|t|/tau_c}
         expected = 0.5 * math.exp(-1.0) - 0.5 * math.exp(-2.0)
-        assert g2_hom_peak(1.0, 0.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert g2_hom_peak(1.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             tau = rng.uniform(-4, 4)
-            dt = rng.uniform(-2, 2)
             tau_r = rng.uniform(0.2, 2.0)
             v = rng.uniform(0.05, 1.0)
             tc = 2 * tau_r * v
-            assert g2_hom_peak(tau, dt, tau_r, tc) == pytest.approx(
-                g2_hom_peak(-tau, -dt, tau_r, tc), rel=1e-12, abs=1e-15)
+            assert g2_hom_peak(tau, tau_r, tc) == pytest.approx(
+                g2_hom_peak(-tau, tau_r, tc), rel=1e-12, abs=1e-15)
 
     def test_non_negative_on_grid(self):
         taus = np.linspace(-6, 6, 121)
-        dts = np.linspace(-3, 3, 25)
         for v in (0.05, 0.3, 0.7, 1.0):
-            for dt in dts:
-                vals = g2_hom_peak(taus, dt, 1.0, 2.0 * v)
-                assert np.min(vals) > -1e-12
+            assert np.min(g2_hom_peak(taus, 1.0, 2.0 * v)) > -1e-12
 
     def test_unphysical_coherence_rejected(self):
         with pytest.raises(ValueError):
-            g2_hom_peak(0.1, 0.0, 1.0, 2.5)
+            g2_hom_peak(0.1, 1.0, 2.5)
 
 
 class TestCentralPeakArea:
@@ -123,7 +117,7 @@ class TestCentralPeakArea:
         tc = 2 * tau_r * v
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
         span = 45.0 * tau_r
-        f = lambda t: g2_hom_peak(t, 0.0, tau_r, tc)
+        f = lambda t: g2_hom_peak(t, tau_r, tc)
         raw = integrate_1d(f, -span, 0.0, spec) + integrate_1d(f, 0.0, span, spec)
         assert central_peak_area_hom(tau_r, tc) == pytest.approx(raw / (2 * tau_r), abs=1e-9)
 
@@ -349,7 +343,7 @@ class TestInhomVisibility:
         assert scalar == pytest.approx(v[1, 2], rel=1e-15)
         assert visibility_inhom_direct(0.67, 1.0, np.array([0.0, 1e308]))[1] == 0.0
 
-    @pytest.mark.parametrize("sigma_g,delta0", [([1.0, 0.0, 2.0], 0.0), ([1.0, -1.0], 0.0),
+    @pytest.mark.parametrize("sigma_g,delta0", [([1.0, -5e-324, 2.0], 0.0), ([1.0, -1.0], 0.0),
                                                 ([1.0, float("nan")], 0.0),
                                                 ([1.0, float("inf")], 0.0),
                                                 (1.0, [0.0, float("nan")]),
@@ -358,13 +352,22 @@ class TestInhomVisibility:
         with pytest.raises(ValueError):
             visibility_inhom_direct(0.67, np.array(sigma_g), np.array(delta0))
 
+    def test_zero_jitter_is_the_lorentzian(self):
+        # sigma_g = 0 lies in the domain: the kernel's scale is 0 and the
+        # Voigt overlap is the Lorentzian 1/(1 + tau_r^2 delta0^2) itself
+        assert visibility_inhom_direct(0.67, 0.0) == 1.0
+        d0 = np.linspace(-20.0, 20.0, 401)
+        assert visibility_inhom_direct(0.67, 0.0, d0) == pytest.approx(
+            1.0 / (1.0 + (0.67 * d0) ** 2), rel=1e-15)
+        assert visibility_inhom_direct(0.67, [0.0, 1.0], 1e200)[0] == 0.0
+
     def test_detuned_limits(self):
         # delta0 = 0 is the undetuned expression sqrt(pi) x erfcx(x), on both
         # sides of the switch to the continued fraction at x = 8
         for x in (0.01, 0.5, 3.0, 7.9, 8.1, 50.0):
             sg = 1.0 / (2.0 * 0.67 * x)
             assert visibility_inhom_direct(0.67, sg, 0.0) == pytest.approx(
-                math.sqrt(math.pi) * x * erfcx(x), rel=2e-15)
+                math.sqrt(math.pi) * x * _erfcx_array(np.array([x + 0j]))[0].real, rel=2e-15)
         # tau_r * delta0 or tau_r * sigma_g beyond the float range
         for tau_r, sg, d0 in ((2.0, 1.0, 1e308), (2.0, 1e-5, -1e308), (1e10, 1e300, 0.0),
                               (1e10, 1e300, 1e300)):
@@ -493,26 +496,6 @@ class TestMichelsonContrast:
         c = michelson_contrast(dts, prm)
         assert np.all(np.isfinite(c))
         assert c == pytest.approx(np.abs(np.cos(math.pi * dts)) * np.exp(-dts / 5.0), abs=1e-6)
-
-
-class TestVisibilityFromG2:
-    def test_published_pair(self):
-        assert visibility_from_g2(0.31) == pytest.approx(0.38, rel=1e-12)
-
-    def test_distinguishable(self):
-        assert visibility_from_g2(0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_perfect(self):
-        assert visibility_from_g2(0.0) == 1.0
-
-    def test_classical_excess_warns(self):
-        with pytest.warns(UserWarning):
-            v = visibility_from_g2(0.6)
-        assert v == pytest.approx(-0.2, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            visibility_from_g2(-0.01)
 
 
 class TestTimeJitterOverlapFactor:

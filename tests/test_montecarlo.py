@@ -33,7 +33,6 @@ from homsim.montecarlo import (
     _route_hbt,
     _sample_meeting_pairs,
     _simulate_block,
-    analytic_g2_indist,
     analytic_visibility,
     analytic_visibility_at,
     hbt_analytic_g2,
@@ -222,7 +221,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.10.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.11.0"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
     (MODE_REMOTE, True): "3c96ad2447ee050937ed36f193c2acb9b4328aba38666f6f023ae4894736c6e3",
@@ -286,9 +285,7 @@ class TestPairEvents:
         scn = remote_scenario()
         n = 400_000
         batch = sample_pair_events(scn, n, RngSpec(seed=9))
-        expected = 2.0 * analytic_g2_indist(scn) * 0.5 + 0.0  # = (1 - V)/2
         p = (1.0 - analytic_visibility(scn)) / 2.0
-        assert expected == pytest.approx(p, rel=1e-12)
         assert abs(batch.opposite_port.mean() - p) < 4 * math.sqrt(p * (1 - p) / n)
 
     def test_opposite_ports_and_times_consistent(self):
@@ -529,7 +526,7 @@ class TestSimulateHistogram:
         scn = remote_scenario(300_000)
         h = simulate_histogram(scn, RngSpec(seed=23), window_periods=4)
         rep = peak_areas(h, 7 * 0.67, 6)
-        ref = analytic_g2_indist(scn)
+        ref = (1.0 - analytic_visibility(scn)) / 2.0
         assert abs(rep.g2_indist - ref) < 4 * rep.g2_indist_err
 
     def test_consecutive_ideal_and_neighbor_suppression(self):
@@ -639,7 +636,7 @@ class TestAnalyticReferences:
         scn = InterferenceScenario(mode=MODE_CROSS_POLARIZED, pair=PairSpec(tau_r=0.67),
                                    rep_period=12.5, n_pulses=1)
         assert analytic_visibility(scn) == 0.0
-        assert analytic_g2_indist(scn) == 0.5
+        assert (1.0 - analytic_visibility(scn)) / 2.0 == 0.5
 
     def test_remote_reference_equals_quadrature(self):
         scn = remote_scenario(1)
@@ -671,8 +668,9 @@ class TestAnalyticReferences:
         assert np.array_equal(analytic_visibility_at(cross, 0.0, d0, sg), np.zeros(4))
         for bad in ((0.0, 0.0, [1.0, -1e-3]), ([0.0, float("nan")], 0.0, 1.0),
                     (0.0, [float("inf"), 0.0], 0.0), (0.0, 0.0, [0.0, float("nan")])):
-            with pytest.raises(ValueError):
-                analytic_visibility_at(scn, *bad)
+            for mode in MODES:
+                with pytest.raises(ValueError):
+                    analytic_visibility_at(replace(scn, mode=mode), *bad)
 
     def test_visibility_at_zero_jitter_is_the_lorentzian(self):
         # sigma_g = 0 runs through the Voigt kernel like every other row;
@@ -688,6 +686,7 @@ class TestAnalyticReferences:
             ref = np.array([float(1 / (1 + mpmath.mpf(tau_r * d) ** 2)) for d in d0])
         assert np.all(np.abs(v - ref) <= 4.5e-16 * np.maximum(ref, np.finfo(float).tiny))
         assert np.all(v[np.abs(tau_r * d0) > 1e162] == 0.0)
+        assert np.array_equal(v, visibility_inhom_direct(tau_r, 0.0, d0))
 
     def test_jitter_factorization(self):
         # emission jitter multiplies the frequency-ensemble visibility
@@ -706,5 +705,5 @@ class TestAnalyticReferences:
                                    emission_jitter=0.2, n_pulses=400_000)
         h = simulate_histogram(scn, RngSpec(seed=33), window_periods=6)
         rep = peak_areas(h, 7 * 0.67, 6, first_side_peak=2)
-        ref = analytic_g2_indist(scn)
+        ref = (1.0 - analytic_visibility(scn)) / 2.0
         assert abs(rep.g2_indist - ref) < 4 * rep.g2_indist_err
