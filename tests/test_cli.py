@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import homsim
 from homsim.cli import cmd_fit, cmd_simulate, cmd_sweep, main
 from homsim.config import config_from_dict, load_config
 from homsim.model import PairSpec
@@ -873,3 +875,70 @@ class TestBundledConfigs:
         s = json.loads((out / "summary.json").read_text())
         assert s["results"]["visibility"]["analytic"] == pytest.approx(0.364, abs=1e-6)
         assert s["results"]["g2_indist"]["analytic"] == pytest.approx(0.318, abs=1e-6)
+
+
+# sha256 of every bundled artifact, made through cli.main from the bundled
+# inputs at their bundled sizes: the six simulate runs (histogram.csv, and
+# summary.json with provenance.version masked), the three fits and the
+# README's 21-point analytic sweep; run.log carries timestamps and is left
+# out. Like PINNED_SHA256 in test_montecarlo.py, the hashes hold for the
+# platform that pinned them: x86-64 Linux, Python 3.11.7, numpy 2.4.6. An
+# output that moves re-pins here, with the old and new hash and the reason
+# in CHANGES.md.
+FIT_INPUTS = {"hom_dip": "hom-dip-example.csv", "michelson": "michelson-example.csv",
+              "exp_decay": "lifetime-example.csv"}
+PINNED_ARTIFACTS = {
+    ("simulate", "remote-qd.json"): {
+        "histogram.csv": "684f22666e9798e5a62b4682c2740e4b1b6bbbe7cec41d6a874a0447b2ff7587",
+        "summary.json": "b82758aa075e343b7b8597d73f42efa8b511c606aa3928e4e02612d3a60f208f"},
+    ("simulate", "double-pulse-rf.json"): {
+        "histogram.csv": "9353c65404e2f5e8215a83b06dc9c4ac2a85d289257e48010483afe8476380e6",
+        "summary.json": "7bd1e06f97da55043dfd5a40fc3c20a2b3b18d0c063c2acb9ce567eeef9a4e73"},
+    ("simulate", "cross-polarized.json"): {
+        "histogram.csv": "b4aa102e96dc41cf83c9fb9fdbb45511df286d48cbf3d264487cb4cb07fdbf6e",
+        "summary.json": "7bf94b53511637aa203bf2455d75027ac406837249bde3457d0428094083e8d3"},
+    ("simulate", "p-shell.json"): {
+        "histogram.csv": "02b6fe0d32bfe467c601d8ffc8f29b2f8fc30a99f24c5ddecb4ea0c87fc59f35",
+        "summary.json": "2ef760ed5a258e0d0fa6e44a93fc9a57686e75bec4f7b0feee44bcd4083591f1"},
+    ("simulate", "wetting-layer.json"): {
+        "histogram.csv": "760afc879633dc32ce132baead7d941d1fb9d870fcfc0b9d03db8980dd02f953",
+        "summary.json": "d3730afab6372205ccbddb3226fae551401bf6dd8a59fcdf46d9c6a5e21c5d8e"},
+    ("simulate", "remote-detuning-sweep.json"): {
+        "histogram.csv": "01d1ba5116a5cd317c2d37f2e763a4dcca2bb228fb798fa65910544d42310271",
+        "summary.json": "0c1baca135e625ad7b4936edab243d1d56538b9489c1e5fa63b15f804cc1f738"},
+    ("fit", "hom_dip"): {"fit.json": "987fb134963128d03849e495186521ee8a7a7601539757977e706332463acf9a"},
+    ("fit", "michelson"): {"fit.json": "a88b6770f8b84ea2af192ff10a77279380544122ad96ea79793542b69ce15c33"},
+    ("fit", "exp_decay"): {"fit.json": "5b8bcf0b3dd0c1e69a133796949e37e9605b3734e11f42627fe57b64de1fd85d"},
+    ("sweep", "detuning"): {"sweep.csv": "30f6c650642a194c5bad02f7e7e24f3665e8ab5f866fe82e2cf30fbfbf0dd6df"},
+}
+
+
+def artifact_digests(command, name, out):
+    """The sha256 of each pinned file that one bundled command writes."""
+    if command == "simulate":
+        argv = ["simulate", "--config", str(CONFIG_DIR / name), "--out", str(out)]
+    elif command == "fit":
+        argv = ["fit", "--model", name, "--data", str(CONFIG_DIR / FIT_INPUTS[name]),
+                "--out", str(out / "fit.json")]
+    else:  # the README's quick-start sweep
+        argv = ["sweep", "--config", str(CONFIG_DIR / "remote-detuning-sweep.json"),
+                "--axis", name, "--range=-4.558:4.558:21", "--out", str(out)]
+    assert main(argv) == 0
+    digests = {}
+    for file in PINNED_ARTIFACTS[command, name]:
+        data = (out / file).read_bytes()
+        if file == "summary.json":
+            stamp = f'"version": "{homsim.__version__}"'.encode()
+            assert data.count(stamp) == 1
+            data = data.replace(stamp, b'"version": "<masked>"')
+        digests[file] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("command, name", list(PINNED_ARTIFACTS),
+                             ids=[f"{c}-{n}" for c, n in PINNED_ARTIFACTS])
+    def test_bundled_artifact_hash_is_pinned(self, tmp_path, command, name):
+        """Within a version, refactors and speed-ups keep every bundled
+        output byte-identical; a change that moves one re-pins it."""
+        assert artifact_digests(command, name, tmp_path) == PINNED_ARTIFACTS[command, name]
