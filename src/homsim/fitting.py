@@ -51,17 +51,19 @@ class FitResult:
     ssr_history: list[float] = field(default_factory=list)
 
 
-def _numeric_jacobian(residual, p, r0):
+def _numeric_jacobian(residual, p):
+    """Central-difference Jacobian, shape (n, m), from one residual call on
+    the stack of the 2m shifted parameter sets p +/- h_j e_j, with
+    h_j = 1e-7 max(|p_j|, 1e-3). J is stored C-contiguous: the summation
+    order of J.T @ J follows the layout."""
     m = p.size
-    J = np.empty((r0.size, m))
-    for j in range(m):
-        h = 1e-7 * max(abs(p[j]), 1e-3)
-        pp = p.copy()
-        pm = p.copy()
-        pp[j] += h
-        pm[j] -= h
-        J[:, j] = (residual(pp) - residual(pm)) / (2.0 * h)
-    return J
+    h = 1e-7 * np.maximum(np.abs(p), 1e-3)
+    sets = np.full((2 * m, m), p)
+    j = np.arange(m)
+    sets[j, j] += h
+    sets[m + j, j] -= h
+    r = residual(sets.T[:, :, None])  # (2m, n)
+    return np.ascontiguousarray(((r[:m] - r[m:]) / (2.0 * h)[:, None]).T)
 
 
 _FTOL = _XTOL = 1e-14  # relative SSR drop and step size that end the iteration
@@ -74,7 +76,12 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
     Parameters
     ----------
     model : callable
-        model(xdata, params) -> predicted y, vectorized over xdata.
+        model(xdata, params) -> predicted y, vectorized over xdata. params
+        is one parameter set of shape (m,), giving shape (n,), or a stack
+        of k sets of shape (m, k, 1), giving shape (k, n): set i is
+        params[:, i, 0]. Each Jacobian evaluates its 2m finite-difference
+        sets in one stacked call, so the model must broadcast over a (k, 1)
+        stack, as one written in numpy ufuncs on params[j] does.
     p0 : sequence of float
         Initial parameter values; len(ydata) must be >= len(p0).
     names : sequence of str, optional
@@ -128,7 +135,7 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
     message = ""
 
     for _ in range(max_iter * 4):  # damping retries share the budget
-        J = _numeric_jacobian(residual, p, r)
+        J = _numeric_jacobian(residual, p)
         jtj = J.T @ J
         jtr = J.T @ r
         diag = np.diag(jtj).copy()
@@ -165,7 +172,7 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
             break
 
     # Covariance at the optimum: s^2 * inv(J^T J), s^2 = SSR / (n - m).
-    J = _numeric_jacobian(residual, p, r)
+    J = _numeric_jacobian(residual, p)
     jtj = J.T @ J
     dof = max(y.size - m, 1)
     s2 = ssr / dof
@@ -337,11 +344,12 @@ def fit_michelson(points, weights=None) -> FitResult:
         raise ValueError("contrasts must lie in [0, 1]")
 
     def contrast(x, p):
-        mix, ltc1, ltc2, fss = p
-        a1 = 1.0 / (1.0 + math.exp(-min(max(mix, -30.0), 30.0)))
-        prm = EmitterParams(tau_r=1.0, fss=abs(fss), fss_weights=(a1, 1.0 - a1),
-                            fss_tau_c=(math.exp(ltc1), math.exp(ltc2)))
-        return michelson_contrast(x, prm)
+        prms = []
+        for mix, ltc1, ltc2, fss in p.reshape(4, -1).T:  # one row per parameter set
+            a1 = 1.0 / (1.0 + math.exp(-min(max(mix, -30.0), 30.0)))
+            prms.append(EmitterParams(tau_r=1.0, fss=abs(fss), fss_weights=(a1, 1.0 - a1),
+                                      fss_tau_c=(math.exp(ltc1), math.exp(ltc2))))
+        return michelson_contrast(x, prms if p.ndim > 1 else prms[0])
 
     starts = _michelson_starts(dt, y)
     res = None

@@ -289,7 +289,7 @@ def sigma_for_visibility(tau_r: float, visibility: float) -> float:
     return math.sqrt(lo) * math.sqrt(hi) / tau_r
 
 
-def michelson_contrast(dt, params: EmitterParams):
+def michelson_contrast(dt, params):
     """Michelson fringe contrast of a (possibly fine-structure split) line at
     path-difference delay dt >= 0:
 
@@ -297,25 +297,35 @@ def michelson_contrast(dt, params: EmitterParams):
                      + 2 a1 a2 e^{-dt/tc1 - dt/tc2} cos(fss*dt)) / (a1 + a2)
 
     With fss = 0 and equal coherence times this is a plain exponential decay.
+
+    params is one EmitterParams, giving the shape of dt (a float for a
+    scalar), or a sequence of k of them, giving shape (k,) + dt.shape with
+    row i from params[i]. Each set's scalars are Python floats, so a row is
+    bitwise the single-set value.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt < 0):
         raise ValueError("dt must be >= 0")
-    if params.fss_tau_c is not None:
-        tc1, tc2 = params.fss_tau_c
-    else:
-        tc = coherence_time(params.tau_r, params.tau_deph)
-        tc1 = tc2 = tc
-    a1, a2 = params.fss_weights
+    single = isinstance(params, EmitterParams)
+    rows = []
+    for prm in [params] if single else params:
+        if prm.fss_tau_c is not None:
+            tc1, tc2 = prm.fss_tau_c
+        else:
+            tc1 = tc2 = coherence_time(prm.tau_r, prm.tau_deph)
+        a1, a2 = prm.fss_weights
+        rows.append((a1 ** 2, a2 ** 2, 2.0 * a1 * a2, a1 + a2, tc1, tc2, prm.fss))
+    if single:
+        a11, a22, a12, norm, tc1, tc2, fss = rows[0]
+    else:  # one column of k values per scalar, broadcasting against dt
+        a11, a22, a12, norm, tc1, tc2, fss = np.array(rows, dtype=float).T.reshape(7, -1, *[1] * dt.ndim)
     # the radicand is |a1 e^{-dt/tc1} + a2 e^{-dt/tc2} e^{i fss dt}|^2 >= 0; at a
     # contrast zero rounding can take it just below 0
-    out = np.sqrt(np.maximum(a1 ** 2 * np.exp(-2.0 * dt / tc1)
-                             + a2 ** 2 * np.exp(-2.0 * dt / tc2)
-                             + 2.0 * a1 * a2 * np.exp(-dt / tc1 - dt / tc2) * np.cos(params.fss * dt),
-                             0.0)) / (a1 + a2)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.sqrt(np.maximum(a11 * np.exp(-2.0 * dt / tc1)
+                             + a22 * np.exp(-2.0 * dt / tc2)
+                             + a12 * np.exp(-dt / tc1 - dt / tc2) * np.cos(fss * dt),
+                             0.0)) / norm
+    return float(out) if out.ndim == 0 else out
 
 
 def time_jitter_overlap_factor(tau_r: float, delta_tau, jitter_sigma: float):

@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from homsim import fitting
 from homsim.fitting import (
     _MICHELSON_BOUNDS,
     SingularModelError,
     _michelson_starts,
+    _numeric_jacobian,
     fit_exponential_decay,
     fit_hom_dip,
     fit_michelson,
@@ -15,18 +18,28 @@ from homsim.fitting import (
 from homsim.model import EmitterParams, michelson_contrast
 
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "homsim" / "configs"
+
+
 def dip_curve(dt, v=0.69, tau_m=0.63):
     return 0.5 * (1 - v * np.exp(-np.abs(dt) / tau_m))
+
+
+def lin(x, p):
+    return p[0] * x + p[1]
+
+
+def banana(x, p):
+    # the banana-valley objective recast as a two-point fit:
+    # minimizes (1-a)^2 + 100 (b - a^2)^2 with optimum (1, 1)
+    a, b = p
+    return np.where(x == 0, a, 10.0 * (b - a * a))
 
 
 class TestNlls:
     def test_linear_model_immediate_convergence(self):
         x = np.linspace(0, 10, 20)
         y = 3.0 * x - 1.5
-
-        def lin(x, p):
-            return p[0] * x + p[1]
-
         res = nlls(lin, x, y, [0.0, 0.0], names=["slope", "offset"])
         assert res.converged
         assert res.iterations <= 8
@@ -35,15 +48,8 @@ class TestNlls:
         assert res.parameters["offset"] == pytest.approx(-1.5, abs=1e-10)
 
     def test_curved_valley_reaches_known_optimum(self):
-        # classic banana-valley objective recast as a two-point fit:
-        # minimizes (1-a)^2 + 100 (b - a^2)^2 with optimum (1, 1)
         x = np.array([0.0, 1.0])
         y = np.array([1.0, 0.0])
-
-        def banana(x, p):
-            a, b = p
-            return np.where(x == 0, a, 10.0 * (b - a * a))
-
         res = nlls(banana, x, y, [-1.2, 1.0], names=["a", "b"], max_iter=500)
         assert res.converged
         assert res.parameters["a"] == pytest.approx(1.0, abs=1e-8)
@@ -99,6 +105,88 @@ class TestNlls:
         with pytest.raises(ValueError):
             nlls(lambda x, p: p[0] + p[1] * x + p[2] * x * x, np.arange(2.0),
                  np.arange(2.0), [1.0, 1.0, 1.0])
+
+
+def column_jacobian(residual, p):
+    """The 0.11.0 Jacobian, kept as the reference: one central difference
+    per column, two residual calls each."""
+    J = np.empty((residual(p).size, p.size))
+    for j in range(p.size):
+        h = 1e-7 * max(abs(p[j]), 1e-3)
+        pp = p.copy()
+        pm = p.copy()
+        pp[j] += h
+        pm[j] -= h
+        J[:, j] = (residual(pp) - residual(pm)) / (2.0 * h)
+    return J
+
+
+def bundled_problems(monkeypatch, fit, csv_name):
+    """(model, x, y, p0) of every nlls call that fit makes on a bundled CSV;
+    the bundled curves carry no weights."""
+    calls = []
+    real = fitting.nlls
+
+    def recording(model, x, y, p0, **kwargs):
+        calls.append((model, np.asarray(x), np.asarray(y), np.asarray(p0, dtype=float)))
+        return real(model, x, y, p0, **kwargs)
+
+    monkeypatch.setattr(fitting, "nlls", recording)
+    fit(np.loadtxt(CONFIG_DIR / csv_name, delimiter=",", skiprows=1))
+    return calls
+
+
+class TestBatchedJacobian:
+    """_numeric_jacobian evaluates its 2m shifted parameter sets in one
+    stacked model call and is bitwise the column-by-column difference, so
+    every fit keeps its bytes."""
+
+    @staticmethod
+    def check(model, x, y, p):
+        calls = []
+
+        def residual(params):
+            calls.append(params.shape)
+            return model(x, params) - y
+
+        J = _numeric_jacobian(residual, p)
+        assert calls == [(p.size, 2 * p.size, 1)]
+        ref = column_jacobian(residual, p)
+        assert J.flags.c_contiguous
+        assert np.array_equal(J, ref)
+        assert np.array_equal(J.T @ J, ref.T @ ref)
+
+    @pytest.mark.parametrize("fit, csv_name, n_starts", [
+        (fit_hom_dip, "hom-dip-example.csv", 1),
+        (fit_exponential_decay, "lifetime-example.csv", 1),
+        (fit_michelson, "michelson-example.csv", 2),
+    ], ids=["hom_dip", "exp_decay", "michelson"])
+    def test_bundled_models_at_their_starts(self, monkeypatch, fit, csv_name, n_starts):
+        problems = bundled_problems(monkeypatch, fit, csv_name)
+        assert len(problems) == n_starts
+        for model, x, y, p0 in problems:
+            self.check(model, x, y, p0)
+
+    @pytest.mark.parametrize("model, x, p", [
+        (lin, np.linspace(0, 10, 20), [0.0, 0.0]),
+        (lin, np.linspace(0, 10, 20), [3.0, -1.5]),
+        (banana, np.array([0.0, 1.0]), [-1.2, 1.0]),
+        (banana, np.array([0.0, 1.0]), [0.9999, 0.37]),
+    ], ids=["lin-origin", "lin-optimum", "banana-start", "banana-valley"])
+    def test_toy_models(self, model, x, p):
+        self.check(model, x, np.zeros_like(x), np.array(p))
+
+    def test_model_rejecting_one_shifted_set_fails_the_fit(self):
+        # only p - h_0 e_0 leaves the model's domain: the initial residual
+        # evaluates, the first Jacobian raises
+        def model(x, p):
+            if np.any(p[0] < 1.0):
+                raise ValueError("slope below 1")
+            return p[0] * x + p[1]
+
+        x = np.linspace(0, 1, 5)
+        with pytest.raises(ValueError, match="slope below 1"):
+            nlls(model, x, 2.0 * x, [1.0, 0.0])
 
 
 class TestFitHomDip:

@@ -485,6 +485,27 @@ class TestMichelsonContrast:
         with pytest.raises(ValueError):
             michelson_contrast(-0.1, prm)
 
+    def test_sequence_rows_are_the_single_set_values(self):
+        # numpy's array square differs from Python's a ** 2 in ~0.1% of
+        # inputs, so the 2,000 random weights also check that each set's
+        # scalars stay Python floats
+        rng = np.random.default_rng(5)
+        prms = [EmitterParams(tau_r=0.5, tau_deph=1.0),
+                EmitterParams(tau_r=1.0, fss=2.0, fss_weights=(1.0, 0.0), fss_tau_c=(5.0, 0.1))]
+        for a1, tc1, tc2, fss in zip(rng.random(2000).tolist(), rng.uniform(0.1, 1.0, 2000).tolist(),
+                                     rng.uniform(0.1, 1.0, 2000).tolist(), rng.uniform(0, 20, 2000).tolist()):
+            prms.append(EmitterParams(tau_r=1.0, fss=fss, fss_weights=(a1, 1.0 - a1),
+                                      fss_tau_c=(tc1, tc2)))
+        dts = np.linspace(0.0, 1.2, 61)
+        stack = michelson_contrast(dts, prms)
+        assert stack.shape == (len(prms), 61)
+        for row, prm in zip(stack, prms):
+            assert np.array_equal(row, michelson_contrast(dts, prm))
+        at = michelson_contrast(0.7, prms)
+        assert at.shape == (len(prms),)
+        assert at.tolist() == [michelson_contrast(0.7, prm) for prm in prms]
+        assert michelson_contrast(dts, []).shape == (0, 61)
+
     def test_contrast_zeros_stay_finite(self):
         # a Levenberg-Marquardt iterate near an equal-weight doublet that
         # beats to an exact zero at dt = 1.5: rounding takes the radicand
