@@ -735,8 +735,8 @@ class TestConfigSchema:
     required field is missing: each violation exits 2 naming the path."""
 
     @staticmethod
-    def run(tmp_path, capsys, **update):
-        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+    def run(tmp_path, capsys, base="p-shell.json", **update):
+        raw = json.loads((CONFIG_DIR / base).read_text(encoding="utf-8"))
         for key, value in update.items():
             if isinstance(value, dict) and isinstance(raw.get(key), dict):
                 raw[key] = {**raw[key], **value}
@@ -815,6 +815,36 @@ class TestConfigSchema:
         monkeypatch.setattr("homsim.cli.simulate_histogram", no_simulation)
         assert self.run(tmp_path, capsys, **update) == (
             2, f"error: {path}: must be <= 1e+300, got 1e+308")
+
+    @pytest.mark.parametrize("update, fields, size", [
+        ({"rep_period_ns": 1e308},
+         "rep_period_ns, histogram.bin_width_ns and histogram.window_periods", "inf bins"),
+        ({"histogram": {"bin_width_ns": 1e-6}},
+         "rep_period_ns, histogram.bin_width_ns and histogram.window_periods", "9.76e+07 bins"),
+        ({"detector": {"dark_rate_per_ns": 1e300}},
+         "detector.dark_rate_per_ns and rep_period_ns", "7.99539e+305 dark counts"),
+        ({"detector": {"dark_rate_per_ns": 2.0}},
+         "detector.dark_rate_per_ns and rep_period_ns", "1.59908e+06 dark counts"),
+    ], ids=["rep-period-1e308", "bin-width-1e-6", "dark-rate-1e300", "dark-rate-2"])
+    def test_block_past_its_size_bounds_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                               update, fields, size):
+        # the 1e308 period and the 1e300 dark rate crashed _run_blocks and
+        # _apply_detector with exit 1; the bounds hold a block's histogram
+        # tally and dark-count draws to a size that fits in memory
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a config past a block size bound")
+
+        monkeypatch.setattr("homsim.cli.simulate_histogram", no_simulation)
+        code, line = self.run(tmp_path, capsys, base="remote-qd.json", n_pulses=20_000, **update)
+        assert code == 2
+        assert line.startswith(f"error: {fields}: ") and size in line
+
+    def test_block_size_bounds_admit_large_valid_blocks(self):
+        # 2 * 4 * 1e5 / 0.128 + 1 = 6,250,001 bins, and 655 dark counts per
+        # block and port: both load
+        raw = json.loads((CONFIG_DIR / "remote-qd.json").read_text(encoding="utf-8"))
+        cfg = config_from_dict({**raw, "rep_period_ns": 1e5, "detector": {"dark_rate_per_ns": 1e-4}})
+        assert (cfg.window_periods, cfg.scenario.rep_period, cfg.scenario.detector.dark_rate) == (4, 1e5, 1e-4)
 
     def test_integer_past_the_float_range_exit_2(self, tmp_path, capsys):
         code, line = self.run(tmp_path, capsys, tau_r_ns=10 ** 400)
