@@ -345,7 +345,7 @@ def fit_michelson(points, weights=None) -> FitResult:
 
     def contrast(x, p):
         prms = []
-        for mix, ltc1, ltc2, fss in p.reshape(4, -1).T:  # one row per parameter set
+        for mix, ltc1, ltc2, fss in p.reshape(4, -1).T.tolist():  # one row per parameter set
             a1 = 1.0 / (1.0 + math.exp(-min(max(mix, -30.0), 30.0)))
             prms.append(EmitterParams(tau_r=1.0, fss=abs(fss), fss_weights=(a1, 1.0 - a1),
                                       fss_tau_c=(math.exp(ltc1), math.exp(ltc2))))
