@@ -1,7 +1,7 @@
 """Two-photon interference of pulsed single-photon emitters: analytic
 correlation functions, Monte Carlo coincidence simulation, and fitting."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .analysis import PeakAreaReport, WindowConfigurationError, g2_indist_double_pulse, peak_areas
 from .fitting import (
@@ -14,12 +14,9 @@ from .fitting import (
 )
 from .model import (
     HBAR_UEV_NS,
-    EmitterParams,
     PairSpec,
     central_peak_area_hom,
     coherence_integral,
-    coherence_time,
-    dephasing_time,
     g2_hom_peak,
     michelson_contrast,
     p_inhom,
@@ -46,7 +43,6 @@ from .montecarlo import (
 __all__ = [
     "CorrelationHistogram",
     "DetectorModel",
-    "EmitterParams",
     "FitResult",
     "HBAR_UEV_NS",
     "InterferenceScenario",
@@ -59,8 +55,6 @@ __all__ = [
     "analytic_visibility_at",
     "central_peak_area_hom",
     "coherence_integral",
-    "coherence_time",
-    "dephasing_time",
     "fit_exponential_decay",
     "fit_hom_dip",
     "fit_michelson",

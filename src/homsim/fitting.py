@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import michelson_contrast, EmitterParams
+from .model import michelson_contrast
 
 __all__ = [
     "FitResult",
@@ -344,12 +344,9 @@ def fit_michelson(points, weights=None) -> FitResult:
         raise ValueError("contrasts must lie in [0, 1]")
 
     def contrast(x, p):
-        prms = []
-        for mix, ltc1, ltc2, fss in p.reshape(4, -1).T.tolist():  # one row per parameter set
-            a1 = 1.0 / (1.0 + math.exp(-min(max(mix, -30.0), 30.0)))
-            prms.append(EmitterParams(tau_r=1.0, fss=abs(fss), fss_weights=(a1, 1.0 - a1),
-                                      fss_tau_c=(math.exp(ltc1), math.exp(ltc2))))
-        return michelson_contrast(x, prms if p.ndim > 1 else prms[0])
+        mix, ltc1, ltc2, fss = p
+        a1 = 1.0 / (1.0 + np.exp(-mix))
+        return michelson_contrast(x, a1, 1.0 - a1, np.exp(ltc1), np.exp(ltc2), np.abs(fss))
 
     starts = _michelson_starts(dt, y)
     res = None

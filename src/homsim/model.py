@@ -28,10 +28,7 @@ from .specfun import _erfcx_array, _scaled_erfcx
 
 __all__ = [
     "HBAR_UEV_NS",
-    "EmitterParams",
     "PairSpec",
-    "coherence_time",
-    "dephasing_time",
     "g2_hom_peak",
     "central_peak_area_hom",
     "visibility_hom",
@@ -47,40 +44,6 @@ __all__ = [
 # hbar in microelectronvolt-nanoseconds: converts energy detunings in ueV to
 # angular frequencies in rad/ns (omega = E / hbar).
 HBAR_UEV_NS = 0.6582119569
-
-
-@dataclass(frozen=True)
-class EmitterParams:
-    """Static parameters of one emitter.
-
-    tau_r : radiative decay time (ns)
-    tau_deph : pure dephasing time (ns), or None when absent
-    fss : fine-structure splitting (rad/ns), 0 when absent
-    fss_weights : relative amplitudes of the two fine-structure components
-    fss_tau_c : per-component coherence times (ns) for the two fine-structure
-        lines; falls back to the single coherence_time() when None
-    """
-
-    tau_r: float
-    tau_deph: float | None = None
-    fss: float = 0.0
-    fss_weights: tuple[float, float] = (1.0, 1.0)
-    fss_tau_c: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        # every check is written so that NaN fails it
-        if not (self.tau_r > 0 and math.isfinite(self.tau_r)):
-            raise ValueError(f"tau_r must be finite and > 0, got {self.tau_r}")
-        if self.tau_deph is not None and not (self.tau_deph > 0 and math.isfinite(self.tau_deph)):
-            raise ValueError(f"tau_deph must be finite and > 0 when present, got {self.tau_deph}")
-        if not (self.fss >= 0 and math.isfinite(self.fss)):
-            raise ValueError(f"fss must be finite and >= 0, got {self.fss}")
-        a1, a2 = self.fss_weights
-        if not (a1 >= 0 and a2 >= 0 and math.isfinite(a1 + a2)) or (self.fss > 0 and not a1 + a2 > 0):
-            raise ValueError(f"fss_weights must be finite and non-negative with positive sum, "
-                             f"got {self.fss_weights}")
-        if self.fss_tau_c is not None and not all(t > 0 and math.isfinite(t) for t in self.fss_tau_c):
-            raise ValueError(f"fss_tau_c entries must be finite and > 0, got {self.fss_tau_c}")
 
 
 @dataclass(frozen=True)
@@ -105,29 +68,6 @@ class PairSpec:
             raise ValueError(f"delta_tau and delta0 must be finite, got {self.delta_tau}, {self.delta0}")
         if not (self.sigma_g >= 0 and math.isfinite(self.sigma_g)):
             raise ValueError(f"sigma_g must be finite and >= 0, got {self.sigma_g}")
-
-
-def coherence_time(tau_r: float, tau_deph: float | None = None) -> float:
-    """Coherence time from lifetime and optional pure dephasing:
-    1/tau_c = 1/(2 tau_r) + 1/tau_deph, with tau_c = 2 tau_r when dephasing
-    is absent (Fourier limit)."""
-    if not tau_r > 0:
-        raise ValueError(f"tau_r must be > 0, got {tau_r}")
-    if tau_deph is None:
-        return 2.0 * tau_r
-    if not tau_deph > 0:
-        raise ValueError(f"tau_deph must be > 0, got {tau_deph}")
-    return 1.0 / (1.0 / (2.0 * tau_r) + 1.0 / tau_deph)
-
-
-def dephasing_time(tau_r: float, tau_c: float) -> float:
-    """Pure dephasing time that produces a given coherence time (inverse of
-    coherence_time in its second argument)."""
-    if not tau_r > 0:
-        raise ValueError(f"tau_r must be > 0, got {tau_r}")
-    if not 0 < tau_c < 2 * tau_r:
-        raise ValueError(f"tau_c must lie in (0, 2*tau_r), got {tau_c} with tau_r={tau_r}")
-    return 1.0 / (1.0 / tau_c - 1.0 / (2.0 * tau_r))
 
 
 def _check_hom_domain(tau_r, tau_c):
@@ -289,41 +229,46 @@ def sigma_for_visibility(tau_r: float, visibility: float) -> float:
     return math.sqrt(lo) * math.sqrt(hi) / tau_r
 
 
-def michelson_contrast(dt, params):
+def michelson_contrast(dt, a1, a2, tc1, tc2, fss):
     """Michelson fringe contrast of a (possibly fine-structure split) line at
     path-difference delay dt >= 0:
 
         C(dt) = sqrt(a1^2 e^{-2 dt/tc1} + a2^2 e^{-2 dt/tc2}
                      + 2 a1 a2 e^{-dt/tc1 - dt/tc2} cos(fss*dt)) / (a1 + a2)
 
-    With fss = 0 and equal coherence times this is a plain exponential decay.
+    a1, a2 : weights of the two fine-structure lines
+    tc1, tc2 : their coherence times (ns)
+    fss : fine-structure splitting (rad/ns), 0 for a single line
 
-    params is one EmitterParams, giving the shape of dt (a float for a
-    scalar), or a sequence of k of them, giving shape (k,) + dt.shape with
-    row i from params[i]. Each set's scalars are Python floats, so a row is
-    bitwise the single-set value.
+    With fss = 0 and equal coherence times this is a plain exponential decay.
+    The parameters are scalars or arrays that broadcast against dt and each
+    other: parameters of shape (k, 1) and dt of shape (n,) give k rows of
+    contrast, shape (k, n), each bitwise the single-set value. All-scalar
+    input gives a float. Weights must be finite and >= 0 with a positive
+    sum, coherence times finite and > 0, and fss finite and >= 0; any other
+    value, or a dt < 0, raises ValueError.
     """
     dt = np.asarray(dt, dtype=float)
-    if np.any(dt < 0):
+    if not np.all(dt >= 0):
         raise ValueError("dt must be >= 0")
-    single = isinstance(params, EmitterParams)
-    rows = []
-    for prm in [params] if single else params:
-        if prm.fss_tau_c is not None:
-            tc1, tc2 = prm.fss_tau_c
-        else:
-            tc1 = tc2 = coherence_time(prm.tau_r, prm.tau_deph)
-        a1, a2 = prm.fss_weights
-        rows.append((a1 ** 2, a2 ** 2, 2.0 * a1 * a2, a1 + a2, tc1, tc2, prm.fss))
-    if single:
-        a11, a22, a12, norm, tc1, tc2, fss = rows[0]
-    else:  # one column of k values per scalar, broadcasting against dt
-        a11, a22, a12, norm, tc1, tc2, fss = np.array(rows, dtype=float).T.reshape(7, -1, *[1] * dt.ndim)
+    a1, a2, tc1, tc2, fss = (np.asarray(v, dtype=float) for v in (a1, a2, tc1, tc2, fss))
+    norm = a1 + a2
+    # every check is written so that NaN fails it
+    for ok, what, values in (
+            ((a1 >= 0) & (a2 >= 0) & (norm > 0) & np.isfinite(norm),
+             "weights must be finite and >= 0 with a positive sum", (a1, a2)),
+            ((tc1 > 0) & (tc2 > 0) & np.isfinite(tc1) & np.isfinite(tc2),
+             "coherence times must be finite and > 0", (tc1, tc2)),
+            ((fss >= 0) & np.isfinite(fss), "fss must be finite and >= 0", (fss,))):
+        if not ok.all():
+            bad = ~ok
+            got = ", ".join(str(np.broadcast_to(v, bad.shape)[bad][0]) for v in values)
+            raise ValueError(f"{what}, got {got}")
     # the radicand is |a1 e^{-dt/tc1} + a2 e^{-dt/tc2} e^{i fss dt}|^2 >= 0; at a
     # contrast zero rounding can take it just below 0
-    out = np.sqrt(np.maximum(a11 * np.exp(-2.0 * dt / tc1)
-                             + a22 * np.exp(-2.0 * dt / tc2)
-                             + a12 * np.exp(-dt / tc1 - dt / tc2) * np.cos(fss * dt),
+    out = np.sqrt(np.maximum(a1 * a1 * np.exp(-2.0 * dt / tc1)
+                             + a2 * a2 * np.exp(-2.0 * dt / tc2)
+                             + 2.0 * a1 * a2 * np.exp(-dt / tc1 - dt / tc2) * np.cos(fss * dt),
                              0.0)) / norm
     return float(out) if out.ndim == 0 else out
 

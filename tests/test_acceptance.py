@@ -13,7 +13,6 @@ from homsim.analysis import peak_areas
 from homsim.cli import cmd_simulate
 from homsim.fitting import fit_hom_dip, fit_michelson
 from homsim.model import (
-    EmitterParams,
     PairSpec,
     central_peak_area_hom,
     coherence_integral,
@@ -240,9 +239,7 @@ class TestCriterion6FitRecovery:
         t0 = time.perf_counter()
         rng = np.random.default_rng(41)
         dts = np.linspace(0.0, 1.2, 121)
-        prm = EmitterParams(tau_r=TAU_R, fss=15.0, fss_weights=(0.5, 0.5),
-                            fss_tau_c=(0.33, 0.18))
-        c = michelson_contrast(dts, prm)
+        c = michelson_contrast(dts, 0.5, 0.5, 0.33, 0.18, 15.0)
         hits = 0
         trials = 100
         for _ in range(trials):

@@ -428,7 +428,7 @@ class TestFit:
 
     def test_michelson_contrast_zeros_fit(self, tmp_path):
         # an equal-weight doublet beating to exact contrast zeros once drove an
-        # LM iterate to fss = NaN, which EmitterParams now rejects
+        # LM iterate to fss = NaN, which michelson_contrast now rejects
         data = tmp_path / "zeros.csv"
         t = np.linspace(0.0, 2.0, 41)
         y = np.abs(np.cos(np.pi * t)) * np.exp(-t / 5.0)
@@ -937,7 +937,7 @@ PINNED_ARTIFACTS = {
         "histogram.csv": "01d1ba5116a5cd317c2d37f2e763a4dcca2bb228fb798fa65910544d42310271",
         "summary.json": "0c1baca135e625ad7b4936edab243d1d56538b9489c1e5fa63b15f804cc1f738"},
     ("fit", "hom_dip"): {"fit.json": "987fb134963128d03849e495186521ee8a7a7601539757977e706332463acf9a"},
-    ("fit", "michelson"): {"fit.json": "a88b6770f8b84ea2af192ff10a77279380544122ad96ea79793542b69ce15c33"},
+    ("fit", "michelson"): {"fit.json": "88b1a95dad45a04a9f3dbbddbfa26e627978f50e0535197183c7b0e2b50ab768"},
     ("fit", "exp_decay"): {"fit.json": "5b8bcf0b3dd0c1e69a133796949e37e9605b3734e11f42627fe57b64de1fd85d"},
     ("sweep", "detuning"): {"sweep.csv": "30f6c650642a194c5bad02f7e7e24f3665e8ab5f866fe82e2cf30fbfbf0dd6df"},
 }

@@ -15,7 +15,7 @@ from homsim.fitting import (
     fit_michelson,
     nlls,
 )
-from homsim.model import EmitterParams, michelson_contrast
+from homsim.model import michelson_contrast
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "homsim" / "configs"
@@ -87,7 +87,7 @@ class TestNlls:
                  bounds=[(0.0, 1.0)])
 
     def test_non_finite_trial_is_a_rejected_step(self):
-        # the model rejects non-finite parameters, as EmitterParams does; the
+        # the model rejects non-finite parameters, as michelson_contrast does; the
         # data's optimum (2.5e308) lies past the float range, so the first
         # Gauss-Newton trial overflows to inf and must be rejected, not evaluated
         def model(x, p):
@@ -264,12 +264,11 @@ class TestFitExponentialDecay:
 
 
 class TestFitMichelson:
-    TRUTH = EmitterParams(tau_r=0.67, fss=15.0, fss_weights=(0.5, 0.5),
-                          fss_tau_c=(0.33, 0.18))
+    TRUTH = (0.5, 0.5, 0.33, 0.18, 15.0)  # a1, a2, tc1, tc2, fss
 
     def test_noiseless_round_trip_exact(self):
         dts = np.linspace(0.0, 1.2, 61)
-        c = michelson_contrast(dts, self.TRUTH)
+        c = michelson_contrast(dts, *self.TRUTH)
         res = fit_michelson(np.column_stack([dts, c]))
         assert res.converged
         assert res.parameters["tau_c1"] == pytest.approx(0.33, abs=1e-8)
@@ -278,16 +277,15 @@ class TestFitMichelson:
         assert res.parameters["a1"] == pytest.approx(0.5, abs=1e-6)
 
     def test_no_beating_flags_degenerate_components(self):
-        prm = EmitterParams(tau_r=0.67, fss=0.0, fss_tau_c=(0.25, 0.25))
         dts = np.linspace(0.0, 1.2, 61)
-        res = fit_michelson(np.column_stack([dts, michelson_contrast(dts, prm)]))
+        res = fit_michelson(np.column_stack([dts, michelson_contrast(dts, 1.0, 1.0, 0.25, 0.25, 0.0)]))
         assert "degenerate" in res.message or "unidentifiable" in res.message
         assert res.parameters["tau_c1"] == pytest.approx(0.25, rel=0.02)
 
     def test_noise_recovery(self):
         rng = np.random.default_rng(41)
         dts = np.linspace(0.0, 1.2, 121)
-        c = michelson_contrast(dts, self.TRUTH)
+        c = michelson_contrast(dts, *self.TRUTH)
         hits = 0
         for _ in range(25):
             y = np.clip(c * (1 + 0.03 * rng.standard_normal(c.size)), 0.0, 1.0)

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from homsim.model import (
-    EmitterParams,
     PairSpec,
     central_peak_area_hom,
     coherence_integral,
-    coherence_time,
-    dephasing_time,
     g2_hom_peak,
     michelson_contrast,
     p_inhom,
@@ -34,31 +31,6 @@ from oracles_quadrature import (
     visibility_inhom_quadrature,
     wavepacket_amplitude,
 )
-
-
-class TestCoherenceTime:
-    def test_fourier_limit(self):
-        assert coherence_time(1.0) == 2.0
-        assert coherence_time(1.0, None) == 2.0
-
-    def test_with_dephasing(self):
-        assert coherence_time(1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_inversion_round_trip(self):
-        # dephasing time that produces tau_c = 330 ps at tau_r = 670 ps:
-        # 1/(1/0.33 - 1/1.34) = 0.43782178... ns by direct algebra
-        td = dephasing_time(0.67, 0.33)
-        assert td == pytest.approx(1.0 / (1.0 / 0.33 - 1.0 / 1.34), rel=1e-14)
-        assert td == pytest.approx(0.43782178217821784, rel=1e-12)
-        assert coherence_time(0.67, td) == pytest.approx(0.33, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            coherence_time(-1.0)
-        with pytest.raises(ValueError):
-            coherence_time(1.0, 0.0)
-        with pytest.raises(ValueError):
-            dephasing_time(0.67, 1.5)  # at/above the Fourier limit
 
 
 class TestG2HomPeak:
@@ -455,24 +427,16 @@ class TestSigmaFromCoherence:
 
 class TestMichelsonContrast:
     def test_full_contrast_at_zero_delay(self):
-        prm = EmitterParams(tau_r=0.67, fss=15.0, fss_tau_c=(0.33, 0.18))
-        assert michelson_contrast(0.0, prm) == pytest.approx(1.0, rel=1e-14)
+        assert michelson_contrast(0.0, 1.0, 1.0, 0.33, 0.18, 15.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_single_lorentzian_reduction(self):
-        prm = EmitterParams(tau_r=0.5, fss=0.0, fss_tau_c=(0.4, 0.4))
         dts = np.linspace(0, 2, 41)
-        assert np.allclose(michelson_contrast(dts, prm), np.exp(-dts / 0.4), rtol=1e-12)
-
-    def test_coherence_time_fallback(self):
-        prm = EmitterParams(tau_r=0.5, tau_deph=1.0)
-        tc = coherence_time(0.5, 1.0)
-        assert michelson_contrast(0.7, prm) == pytest.approx(math.exp(-0.7 / tc), rel=1e-12)
+        assert np.allclose(michelson_contrast(dts, 1.0, 1.0, 0.4, 0.4, 0.0), np.exp(-dts / 0.4),
+                           rtol=1e-12)
 
     def test_beating_decay_shape(self):
-        prm = EmitterParams(tau_r=0.67, fss=15.0, fss_weights=(0.5, 0.5),
-                            fss_tau_c=(0.33, 0.18))
         dts = np.linspace(0, 1.2, 481)
-        c = michelson_contrast(dts, prm)
+        c = michelson_contrast(dts, 0.5, 0.5, 0.33, 0.18, 15.0)
         # oscillating decay: a pronounced minimum near the half beat period
         i_min = int(np.argmin(c[dts < 0.4]))
         assert dts[i_min] == pytest.approx(math.pi / 15.0, abs=0.03)
@@ -481,40 +445,35 @@ class TestMichelsonContrast:
         assert np.all(c <= env + 1e-12)
 
     def test_negative_delay_rejected(self):
-        prm = EmitterParams(tau_r=0.5)
         with pytest.raises(ValueError):
-            michelson_contrast(-0.1, prm)
+            michelson_contrast(-0.1, 1.0, 1.0, 1.0, 1.0, 0.0)
 
     def test_sequence_rows_are_the_single_set_values(self):
-        # numpy's array square differs from Python's a ** 2 in ~0.1% of
-        # inputs, so the 2,000 random weights also check that each set's
-        # scalars stay Python floats
+        # parameters of shape (k, 1) give k rows of contrast, each bitwise
+        # the single-set call, over 2,000 random sets
         rng = np.random.default_rng(5)
-        prms = [EmitterParams(tau_r=0.5, tau_deph=1.0),
-                EmitterParams(tau_r=1.0, fss=2.0, fss_weights=(1.0, 0.0), fss_tau_c=(5.0, 0.1))]
+        sets = [(1.0, 1.0, 1.0, 1.0, 0.0), (1.0, 0.0, 5.0, 0.1, 2.0)]
         for a1, tc1, tc2, fss in zip(rng.random(2000).tolist(), rng.uniform(0.1, 1.0, 2000).tolist(),
                                      rng.uniform(0.1, 1.0, 2000).tolist(), rng.uniform(0, 20, 2000).tolist()):
-            prms.append(EmitterParams(tau_r=1.0, fss=fss, fss_weights=(a1, 1.0 - a1),
-                                      fss_tau_c=(tc1, tc2)))
+            sets.append((a1, 1.0 - a1, tc1, tc2, fss))
+        columns = np.array(sets).T[:, :, None]
         dts = np.linspace(0.0, 1.2, 61)
-        stack = michelson_contrast(dts, prms)
-        assert stack.shape == (len(prms), 61)
-        for row, prm in zip(stack, prms):
-            assert np.array_equal(row, michelson_contrast(dts, prm))
-        at = michelson_contrast(0.7, prms)
-        assert at.shape == (len(prms),)
-        assert at.tolist() == [michelson_contrast(0.7, prm) for prm in prms]
-        assert michelson_contrast(dts, []).shape == (0, 61)
+        stack = michelson_contrast(dts, *columns)
+        assert stack.shape == (len(sets), 61)
+        for row, prm in zip(stack, sets):
+            assert np.array_equal(row, michelson_contrast(dts, *prm))
+        at = michelson_contrast(0.7, *columns[:, :, 0])
+        assert at.shape == (len(sets),)
+        assert at.tolist() == [michelson_contrast(0.7, *prm) for prm in sets]
+        assert michelson_contrast(dts, *np.empty((5, 0, 1))).shape == (0, 61)
 
     def test_contrast_zeros_stay_finite(self):
         # a Levenberg-Marquardt iterate near an equal-weight doublet that
         # beats to an exact zero at dt = 1.5: rounding takes the radicand
         # just below 0 there
         dts = np.linspace(0.0, 2.0, 41)
-        prm = EmitterParams(tau_r=1.0, fss=6.283185308095183,
-                            fss_weights=(0.49999998227358683, 0.5000000177264132),
-                            fss_tau_c=(5.000001009656531, 4.9999995599838485))
-        c = michelson_contrast(dts, prm)
+        c = michelson_contrast(dts, 0.49999998227358683, 0.5000000177264132,
+                               5.000001009656531, 4.9999995599838485, 6.283185308095183)
         assert np.all(np.isfinite(c))
         assert c == pytest.approx(np.abs(np.cos(math.pi * dts)) * np.exp(-dts / 5.0), abs=1e-6)
 
@@ -569,21 +528,19 @@ class TestTimeJitterOverlapFactor:
 
 
 class TestTypeValidation:
-    def test_emitter_params(self):
-        with pytest.raises(ValueError):
-            EmitterParams(tau_r=-1.0)
-        with pytest.raises(ValueError):
-            EmitterParams(tau_r=1.0, tau_deph=0.0)
-        with pytest.raises(ValueError):
-            EmitterParams(tau_r=1.0, fss=1.0, fss_weights=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            EmitterParams(tau_r=1.0, fss_tau_c=(0.3, 0.0))
+    def test_michelson_contrast(self):
+        good = {"a1": 1.0, "a2": 1.0, "tc1": 0.3, "tc2": 0.3, "fss": 1.0}
+        for kw in ({"a1": -1.0}, {"a1": 0.0, "a2": 0.0}, {"tc1": 0.0}, {"tc2": -0.3},
+                   {"fss": -1.0}):
+            with pytest.raises(ValueError):
+                michelson_contrast(0.5, **{**good, **kw})
         for bad in (math.nan, math.inf, -math.inf):
-            for kw in ({"tau_r": bad}, {"tau_deph": bad}, {"fss": bad},
-                       {"fss_weights": (bad, 1.0)}, {"fss_weights": (1.0, bad)},
-                       {"fss_tau_c": (bad, 0.3)}, {"fss_tau_c": (0.3, bad)}):
+            for name in good:
                 with pytest.raises(ValueError):
-                    EmitterParams(**{"tau_r": 1.0, "fss": 1.0, **kw})
+                    michelson_contrast(0.5, **{**good, name: bad})
+                # one bad set in a stack fails the call
+                with pytest.raises(ValueError):
+                    michelson_contrast(0.5, **{**good, name: np.array([[good[name]], [bad]])})
 
     def test_pair_spec(self):
         for kw in ({"tau_r": 0.0}, {"tau_r": math.inf}, {"tau_r": math.nan},

@@ -31,7 +31,6 @@ UNREAD_PUBLIC_NAMES = {
     "g2_hom_peak": "waits on one pair model with pure dephasing",
     "central_peak_area_hom": "waits on one pair model with pure dephasing",
     "visibility_hom": "waits on one pair model with pure dephasing",
-    "dephasing_time": "waits on one pair model with pure dephasing",
     "sample_pair_events": "benchmark entry point",
     "p_inhom": "subject of an acceptance oracle",
     "coherence_integral": "subject of an acceptance oracle",
