@@ -31,6 +31,7 @@ from .montecarlo import (
     DetectorModel,
     InterferenceScenario,
     RngSpec,
+    _block_shape,
 )
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "config_from_dict"]
@@ -59,9 +60,6 @@ class _Field(NamedTuple):
 
 
 _REQUIRED = "required"
-# a block tallies every histogram bin, and draws each port's dark counts at once
-_MAX_BINS = 10 ** 7 + 1
-_MAX_DARK_PER_BLOCK = 1e6  # expected dark counts of one block and port
 _FIELDS = {
     "schema_version": _Field(None, (SCHEMA_VERSION,), _REQUIRED),
     "mode": _Field("scenario.mode", MODES, _REQUIRED),
@@ -91,6 +89,10 @@ _FIELDS = {
     "sweep.temperature_ref_K": _Field("temperature_ref_k", float, None),
     "n_jobs": _Field("n_jobs", int, 1, 1),
 }
+# the config paths of _block_shape's inputs, as its errors name them
+_BLOCK_NAMES = {"rep_period": "rep_period_ns", "bin_width": "histogram.bin_width_ns",
+                "window_periods": "histogram.window_periods",
+                "dark_rate": "detector.dark_rate_per_ns"}
 _SECTIONS = tuple(dict.fromkeys(path.rpartition(".")[0] for path in _FIELDS if "." in path))
 
 
@@ -229,18 +231,11 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     k_max = cfg.first_side_peak() + cfg.n_side_peaks // 2 - 1
     if cfg.window_periods is None:
         cfg.window_periods = max(3, k_max + 1)
-    half = cfg.window_periods * T / cfg.bin_width  # _run_blocks makes 2 round(half) + 1 bins
-    if not half <= _MAX_BINS or 2 * round(half) + 1 > _MAX_BINS:
-        raise ConfigError(f"rep_period_ns, histogram.bin_width_ns and histogram.window_periods: "
-                          f"the histogram would have {2 * half + 1:.6g} bins "
-                          f"(2 * window_periods * rep_period_ns / bin_width_ns + 1), "
-                          f"more than {_MAX_BINS}")
-    dark = cfg.scenario.detector.dark_rate * CHUNK_PULSES * T
-    if not dark <= _MAX_DARK_PER_BLOCK:
-        raise ConfigError(f"detector.dark_rate_per_ns and rep_period_ns: a block of {CHUNK_PULSES} "
-                          f"pulses would draw {dark:.6g} dark counts per port "
-                          f"(dark_rate_per_ns * {CHUNK_PULSES} * rep_period_ns), "
-                          f"more than {_MAX_DARK_PER_BLOCK:g}")
+    try:
+        _block_shape(T, cfg.bin_width, cfg.window_periods, cfg.scenario.detector.dark_rate,
+                     names=_BLOCK_NAMES)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     spacing, reach = (_pulse_pair_spacing(d, T), d) if cfg.pulse_pair() else (T, k_max * T)
     if spacing == 0:  # d = T/2 or T/3: a peak of the next pulse lies on a window
         k, peak = (2, "central peak at lag 0") if T == 2 * d else (3, "satellite at lag +intra_delay_ns")

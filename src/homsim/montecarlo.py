@@ -77,6 +77,9 @@ MODE_CROSS_POLARIZED = "cross-polarized-control"
 MODES = (MODE_CONSECUTIVE, MODE_DOUBLE_PULSE, MODE_REMOTE, MODE_CROSS_POLARIZED)
 
 CHUNK_PULSES = 1 << 16
+# a block tallies every histogram bin, and draws each port's dark counts at once
+_MAX_BINS = 10 ** 7 + 1
+_MAX_DARK_PER_BLOCK = 1e6  # expected dark counts of one block and port
 RNG_ALGORITHM = "sfc64 (numpy.random.SFC64), per-block SeedSequence(seed, spawn_key=(stream_id, block))"
 
 
@@ -463,11 +466,40 @@ def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbin
     return _correlate(times, ports, halfspan, bin_width, nbins)
 
 
+def _block_shape(rep_period, bin_width, window_periods, dark_rate, names=None):
+    """Half-span and bin count of a block's histogram: 2 round(window_periods
+    * rep_period / bin_width) + 1 bins, an odd count so that lag 0 is a bin
+    center. A block holds every bin and draws each port's dark counts at
+    once, so more than _MAX_BINS bins, or more than _MAX_DARK_PER_BLOCK
+    expected dark counts per block and port (dark_rate * CHUNK_PULSES *
+    rep_period), raise ValueError, as does a bin_width that is not finite
+    and > 0. The message names the inputs, as names maps them (by default
+    the argument names); a formula gives each name's last dotted part."""
+    n = {arg: arg for arg in ("rep_period", "bin_width", "window_periods", "dark_rate")} | (names or {})
+    short = {arg: path.rpartition(".")[2] for arg, path in n.items()}
+    # every check is written so that NaN fails it
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise ValueError(f"{n['bin_width']} must be finite and > 0, got {bin_width}")
+    half = window_periods * rep_period / bin_width
+    if not half <= _MAX_BINS or 2 * round(half) + 1 > _MAX_BINS:
+        raise ValueError(f"{n['rep_period']}, {n['bin_width']} and {n['window_periods']}: "
+                         f"the histogram would have {2 * half + 1:.6g} bins "
+                         f"(2 * {short['window_periods']} * {short['rep_period']} / "
+                         f"{short['bin_width']} + 1), more than {_MAX_BINS}")
+    dark = dark_rate * CHUNK_PULSES * rep_period
+    if not dark <= _MAX_DARK_PER_BLOCK:
+        raise ValueError(f"{n['dark_rate']} and {n['rep_period']}: a block of {CHUNK_PULSES} "
+                         f"pulses would draw {dark:.6g} dark counts per port "
+                         f"({short['dark_rate']} * {CHUNK_PULSES} * {short['rep_period']}), "
+                         f"more than {_MAX_DARK_PER_BLOCK:g}")
+    nbins = 2 * round(half) + 1
+    return 0.5 * nbins * bin_width, nbins
+
+
 def _run_blocks(route, scenario, rng, label, bin_width, window_periods, n_jobs):
     """Sum the block counts of the whole pulse train into a histogram."""
-    halfspan = window_periods * scenario.rep_period
-    nbins = 2 * int(round(halfspan / bin_width)) + 1  # odd count: lag 0 is a bin center
-    halfspan = 0.5 * nbins * bin_width
+    halfspan, nbins = _block_shape(scenario.rep_period, bin_width, window_periods,
+                                   scenario.detector.dark_rate)
     n_blocks = (scenario.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
     work = partial(_simulate_block, route, scenario, rng, halfspan=halfspan,
                    bin_width=bin_width, nbins=nbins)

@@ -445,8 +445,20 @@ class TestMichelsonContrast:
         assert np.all(c <= env + 1e-12)
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            michelson_contrast(-0.1, 1.0, 1.0, 1.0, 1.0, 0.0)
+        for dt in (-0.1, math.nan, [0.0, 0.5, -0.1]):
+            with pytest.raises(ValueError):
+                michelson_contrast(dt, 1.0, 1.0, 1.0, 1.0, 0.0)
+
+    def test_parameters_broadcast_against_the_delays(self):
+        dts = np.linspace(0.0, 1.2, 7)
+        assert type(michelson_contrast(0.3, 0.5, 0.5, 0.33, 0.18, 15.0)) is float
+        assert michelson_contrast(dts, 0.5, 0.5, 0.33, 0.18, 15.0).shape == (7,)
+        # one column of three coherence times, the other parameters shared
+        tc1 = np.array([[0.2], [0.33], [0.5]])
+        rows = michelson_contrast(dts, 0.5, 0.5, tc1, 0.18, 15.0)
+        assert rows.shape == (3, 7)
+        for row, t in zip(rows, tc1[:, 0]):
+            assert np.array_equal(row, michelson_contrast(dts, 0.5, 0.5, t, 0.18, 15.0))
 
     def test_sequence_rows_are_the_single_set_values(self):
         # parameters of shape (k, 1) give k rows of contrast, each bitwise

@@ -607,6 +607,41 @@ class TestSimulateHistogram:
             with pytest.raises(ValueError):
                 DetectorModel(**kw)
 
+    @pytest.mark.parametrize("simulate, kw, match", [
+        (simulate_histogram, {"bin_width": 0.0}, r"^bin_width must be finite and > 0, got 0\.0$"),
+        (simulate_histogram, {"bin_width": math.nan}, r"^bin_width must be finite and > 0, got nan$"),
+        (simulate_histogram, {"rep_period": 1e308},
+         r"^rep_period, bin_width and window_periods: the histogram would have inf bins "
+         r"\(2 \* window_periods \* rep_period / bin_width \+ 1\), more than 10000001$"),
+        (partial(simulate_hbt_purity, 0.05), {"dark_rate": 1e300},
+         r"^dark_rate and rep_period: a block of 65536 pulses would draw 7\.99539e\+305 dark "
+         r"counts per port \(dark_rate \* 65536 \* rep_period\), more than 1e\+06$"),
+    ], ids=["bin-width-0", "bin-width-nan", "rep-period-1e308", "hbt-dark-rate-1e300"])
+    def test_block_past_its_size_bounds_raises_before_simulating(self, monkeypatch, simulate, kw, match):
+        # these crashed with ZeroDivisionError, a NaN-to-integer ValueError,
+        # OverflowError in _run_blocks and numpy's "lam value too large"
+        def no_block(*args, **kwargs):
+            raise AssertionError("simulated a block past a size bound")
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", no_block)
+        bin_width = kw.pop("bin_width", 0.128)
+        scn = InterferenceScenario(mode=MODE_REMOTE, pair=PairSpec(tau_r=0.67), n_pulses=1_000,
+                                   rep_period=kw.pop("rep_period", 12.2), detector=DetectorModel(**kw))
+        with pytest.raises(ValueError, match=match):
+            simulate(scn, RngSpec(seed=1), bin_width=bin_width)
+
+    def test_block_shape_at_its_bounds(self):
+        # 2 round(half) + 1 bins, with half = window_periods * rep_period /
+        # bin_width; both bounds are inclusive
+        assert montecarlo._block_shape(5e6, 1.0, 1, 0.0) == (5e6 + 0.5, 10_000_001)
+        assert montecarlo._block_shape(12.2, 0.128, 3, 0.0)[1] == 573
+        with pytest.raises(ValueError, match="more than 10000001"):
+            montecarlo._block_shape(5e6 + 0.75, 1.0, 1, 0.0)  # 10,000,003 bins
+        rate = 1e6 / (CHUNK_PULSES * 1.0)
+        assert montecarlo._block_shape(1.0, 0.128, 3, rate)[1] == 47
+        with pytest.raises(ValueError, match="dark counts per port"):
+            montecarlo._block_shape(1.0, 0.128, 3, math.nextafter(rate, math.inf))
+
 
 class TestHbtPurity:
     def test_pure_single_photon_source(self):
