@@ -467,14 +467,11 @@ def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbin
 
 
 def _block_shape(rep_period, bin_width, window_periods, dark_rate, names=None):
-    """Half-span and bin count of a block's histogram: 2 round(window_periods
-    * rep_period / bin_width) + 1 bins, an odd count so that lag 0 is a bin
-    center. A block holds every bin and draws each port's dark counts at
-    once, so more than _MAX_BINS bins, or more than _MAX_DARK_PER_BLOCK
-    expected dark counts per block and port (dark_rate * CHUNK_PULSES *
-    rep_period), raise ValueError, as does a bin_width that is not finite
-    and > 0. The message names the inputs, as names maps them (by default
-    the argument names); a formula gives each name's last dotted part."""
+    """Half-span and bin count of a block's histogram, 2 round(window_periods
+    * rep_period / bin_width) + 1 (odd: lag 0 is a bin center). A bin_width
+    that is not finite and > 0, or a block past _MAX_BINS or
+    _MAX_DARK_PER_BLOCK, raises ValueError naming the inputs as names maps
+    them (default: the argument names; formulas use the last dotted part)."""
     n = {arg: arg for arg in ("rep_period", "bin_width", "window_periods", "dark_rate")} | (names or {})
     short = {arg: path.rpartition(".")[2] for arg, path in n.items()}
     # every check is written so that NaN fails it
