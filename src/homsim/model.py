@@ -251,19 +251,18 @@ def michelson_contrast(dt, a1, a2, tc1, tc2, fss):
     dt = np.asarray(dt, dtype=float)
     if not np.all(dt >= 0):
         raise ValueError("dt must be >= 0")
-    a1, a2, tc1, tc2, fss = (np.asarray(v, dtype=float) for v in (a1, a2, tc1, tc2, fss))
+    # [()] gives numpy scalars for scalar parameters: cheaper than 0-d arrays
+    a1, a2, tc1, tc2, fss = (np.asarray(v, dtype=float)[()] for v in (a1, a2, tc1, tc2, fss))
     norm = a1 + a2
     # every check is written so that NaN fails it
-    for ok, what, values in (
-            ((a1 >= 0) & (a2 >= 0) & (norm > 0) & np.isfinite(norm),
-             "weights must be finite and >= 0 with a positive sum", (a1, a2)),
-            ((tc1 > 0) & (tc2 > 0) & np.isfinite(tc1) & np.isfinite(tc2),
-             "coherence times must be finite and > 0", (tc1, tc2)),
-            ((fss >= 0) & np.isfinite(fss), "fss must be finite and >= 0", (fss,))):
-        if not ok.all():
-            bad = ~ok
-            got = ", ".join(str(np.broadcast_to(v, bad.shape)[bad][0]) for v in values)
-            raise ValueError(f"{what}, got {got}")
+    ok = ((a1 >= 0) & (a2 >= 0) & (norm > 0) & np.isfinite(norm)
+          & (tc1 > 0) & (tc2 > 0) & np.isfinite(tc1) & np.isfinite(tc2)
+          & (fss >= 0) & np.isfinite(fss))
+    if not np.all(ok):
+        got = ", ".join(f"{name}={np.broadcast_to(v, ok.shape)[~ok][0]}" for name, v
+                        in zip(("a1", "a2", "tc1", "tc2", "fss"), (a1, a2, tc1, tc2, fss)))
+        raise ValueError("weights must be finite and >= 0 with a positive sum, coherence times "
+                         f"finite and > 0, and fss finite and >= 0; got {got}")
     # the radicand is |a1 e^{-dt/tc1} + a2 e^{-dt/tc2} e^{i fss dt}|^2 >= 0; at a
     # contrast zero rounding can take it just below 0
     out = np.sqrt(np.maximum(a1 * a1 * np.exp(-2.0 * dt / tc1)
