@@ -87,7 +87,7 @@ _FIELDS = {
     "outputs": _Field("outputs", list(KNOWN_OUTPUTS), KNOWN_OUTPUTS),
     "sweep.temperature_slope_uev_per_K": _Field("temperature_slope_uev_per_k", float, None),
     "sweep.temperature_ref_K": _Field("temperature_ref_k", float, None),
-    "n_jobs": _Field("n_jobs", int, 1, 1),
+    "n_jobs": _Field("n_jobs", int, None, 1),  # None: every usable core
 }
 # the config paths of _block_shape's inputs, as its errors name them
 _BLOCK_NAMES = {"rep_period": "rep_period_ns", "bin_width": "histogram.bin_width_ns",
@@ -107,7 +107,7 @@ class ScenarioConfig:
     n_side_peaks: int
     analysis_window_halfwidth: float
     analytic_only: bool
-    n_jobs: int
+    n_jobs: int | None
     temperature_slope_uev_per_k: float | None
     temperature_ref_k: float | None
     outputs: tuple[str, ...]

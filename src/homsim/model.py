@@ -246,7 +246,8 @@ def michelson_contrast(dt, a1, a2, tc1, tc2, fss):
     contrast, shape (k, n), each bitwise the single-set value. All-scalar
     input gives a float. Weights must be finite and >= 0 with a positive
     sum, coherence times finite and > 0, and fss finite and >= 0; any other
-    value, or a dt < 0, raises ValueError.
+    value, or a dt < 0, raises ValueError. Where fss * dt is not finite the
+    phase is fully dephased and the cross term is 0.
     """
     dt = np.asarray(dt, dtype=float)
     if not np.all(dt >= 0):
@@ -263,11 +264,16 @@ def michelson_contrast(dt, a1, a2, tc1, tc2, fss):
                         in zip(("a1", "a2", "tc1", "tc2", "fss"), (a1, a2, tc1, tc2, fss)))
         raise ValueError("weights must be finite and >= 0 with a positive sum, coherence times "
                          f"finite and > 0, and fss finite and >= 0; got {got}")
+    # as in the sampler, a phase that is not finite (fss * dt overflows) is
+    # fully dephased: its cosine, and the cross term, is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos = np.cos(fss * dt)
+    cos = np.where(np.isnan(cos), 0.0, cos)
     # the radicand is |a1 e^{-dt/tc1} + a2 e^{-dt/tc2} e^{i fss dt}|^2 >= 0; at a
     # contrast zero rounding can take it just below 0
     out = np.sqrt(np.maximum(a1 * a1 * np.exp(-2.0 * dt / tc1)
                              + a2 * a2 * np.exp(-2.0 * dt / tc2)
-                             + 2.0 * a1 * a2 * np.exp(-dt / tc1 - dt / tc2) * np.cos(fss * dt),
+                             + 2.0 * a1 * a2 * np.exp(-dt / tc1 - dt / tc2) * cos,
                              0.0)) / norm
     return float(out) if out.ndim == 0 else out
 

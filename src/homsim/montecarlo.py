@@ -13,11 +13,14 @@ and the groups of lone photon onsets; _mode_detections samples both, the
 meeting pairs in one direct draw from the two-photon detection law
 (_sample_meeting_pairs: a fixed set of draws per pair, nothing rejected);
 _apply_detector and _correlate follow; _run_blocks sums the blocks into one
-CorrelationHistogram. The stages select elements by index (take) or with
-compress, never by boolean-mask indexing, which numpy runs several times
-slower on the half-full masks that routing produces. They work in place
-where an old value is dead and evaluate a branch only for rows that can
-take it, with every operation in its order, so counts stay bitwise equal.
+CorrelationHistogram. It runs them on min(n_jobs, blocks, usable cores)
+threads, every usable core by default, and the calling thread is one of
+them, so a run starts one pool thread fewer than it uses. The stages
+select elements by index (take) or with compress, never by boolean-mask
+indexing, which numpy runs several times slower on the half-full masks
+that routing produces. They work in place where an old value is dead and
+evaluate a branch only for rows that can take it, with every operation in
+its order, so counts stay bitwise equal.
 
 Reproducibility contract
 ------------------------
@@ -39,7 +42,9 @@ effect on side-peak areas.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -233,15 +238,16 @@ def _sample_meeting_pairs(tau_r, dtau, delta, g):
         c *= delta.take(both)
         np.cos(c, out=c)
     np.nan_to_num(c, copy=False, nan=0.0)
-    split = np.full(n, 0.5)  # (1 - c)/2
-    split[both] = 0.5 * (1.0 - c)
-    opposite = u < split
-    half = 0.5 * d
-    early -= half
-    late += half
+    np.subtract(1.0, c, out=c)  # c becomes the split probability (1 - c)/2
+    c *= 0.5
+    opposite = u < 0.5  # where a packet is dead at one of the times
+    opposite[both] = u.take(both) < c
+    d *= 0.5  # each onset's offset from the midpoint
+    early -= d
+    late += d
     t_a = np.where(swap, late, early)
-    t_b = np.where(swap, early, late)
-    return opposite, t_a, t_b, port_a, port_a ^ opposite
+    np.copyto(late, early, where=swap)  # late becomes t_b
+    return opposite, t_a, late, port_a, port_a ^ opposite
 
 
 def _sample_independent(onsets, tau_r, g):
@@ -293,18 +299,23 @@ def _route_pulse_pair(scenario, g, pulse_t):
     rB = g.integers(0, 2, n, dtype=bool)
     if scenario.mode == MODE_DOUBLE_PULSE:
         meet = rA & ~rB
-        im, isolo = np.flatnonzero(meet), np.flatnonzero(~meet)
+        im = np.flatnonzero(meet)
         delta = _detuning(g, scenario.pair, im.size)
-        ps, jAs, jBs, rAs, rBs = (a.take(isolo) for a in (pulse_t, jA, jB, rA, rB))
     else:  # crossed polarizations: every photon is solo
         im, delta = np.empty(0, np.intp), np.empty(0)
-        ps, jAs, jBs, rAs, rBs = pulse_t, jA, jB, rA, rB
     jAm, jBm = jA.take(im), jB.take(im)
     mid = pulse_t.take(im) + d + (jAm + jBm + off) / 2.0
-    # a route flag times (d + off) adds the long arm's extra delay or 0
-    onsA = ps + jAs + rAs * (d + off)
-    onsB = ps + d + jBs + rBs * (d + off)
-    return mid, off + jAm - jBm, delta, [onsA, onsB]
+    # every photon's onset, in place in its jitter buffer (the solo ones are
+    # kept); a route flag times (d + off) adds the long arm's extra delay or 0
+    jA += pulse_t
+    jA += rA * (d + off)
+    jB += pulse_t + d
+    jB += rB * (d + off)
+    if scenario.mode == MODE_DOUBLE_PULSE:
+        np.logical_not(meet, out=meet)
+        jA = jA.compress(meet)
+        jB = jB.compress(meet)
+    return mid, off + jAm - jBm, delta, [jA, jB]
 
 
 def _route_consecutive(scenario, g, pulse_t):
@@ -466,18 +477,27 @@ def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbin
     return _correlate(times, ports, halfspan, bin_width, nbins)
 
 
+def _is_count(value):
+    """An integer >= 1, of any integer type but bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 def _block_shape(rep_period, bin_width, window_periods, dark_rate, names=None):
     """Half-span and bin count of a block's histogram, 2 round(window_periods
     * rep_period / bin_width) + 1 (odd: lag 0 is a bin center). A bin_width
-    that is not finite and > 0, or a block past _MAX_BINS or
-    _MAX_DARK_PER_BLOCK, raises ValueError naming the inputs as names maps
-    them (default: the argument names; formulas use the last dotted part)."""
+    that is not finite and > 0, a window_periods that is not an integer >= 1,
+    or a block past _MAX_BINS or _MAX_DARK_PER_BLOCK, raises ValueError
+    naming the inputs as names maps them (default: the argument names;
+    formulas use the last dotted part)."""
     n = {arg: arg for arg in ("rep_period", "bin_width", "window_periods", "dark_rate")} | (names or {})
     short = {arg: path.rpartition(".")[2] for arg, path in n.items()}
     # every check is written so that NaN fails it
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise ValueError(f"{n['bin_width']} must be finite and > 0, got {bin_width}")
-    half = window_periods * rep_period / bin_width
+    if not _is_count(window_periods):
+        raise ValueError(f"{n['window_periods']} must be an integer >= 1, got {window_periods!r}")
+    # an int past the float range cannot be multiplied by a float
+    half = window_periods * rep_period / bin_width if window_periods < 2 ** 1024 else math.inf
     if not half <= _MAX_BINS or 2 * round(half) + 1 > _MAX_BINS:
         raise ValueError(f"{n['rep_period']}, {n['bin_width']} and {n['window_periods']}: "
                          f"the histogram would have {2 * half + 1:.6g} bins "
@@ -493,34 +513,68 @@ def _block_shape(rep_period, bin_width, window_periods, dark_rate, names=None):
     return 0.5 * nbins * bin_width, nbins
 
 
+def _usable_cores():
+    """CPUs this process may run on: its affinity mask where the OS reports
+    one, else the installed count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_blocks(route, scenario, rng, label, bin_width, window_periods, n_jobs):
-    """Sum the block counts of the whole pulse train into a histogram."""
+    """Sum the block counts of the whole pulse train into a histogram.
+
+    The calling thread and workers - 1 pool threads pull block indices from
+    one shared iterator, each sums its own counts, and the run adds the
+    sums: integer counts, so any split gives the serial histogram."""
+    if not (n_jobs is None or _is_count(n_jobs)):
+        raise ValueError(f"n_jobs must be None or an integer >= 1, got {n_jobs!r}")
     halfspan, nbins = _block_shape(scenario.rep_period, bin_width, window_periods,
                                    scenario.detector.dark_rate)
     n_blocks = (scenario.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
     work = partial(_simulate_block, route, scenario, rng, halfspan=halfspan,
                    bin_width=bin_width, nbins=nbins)
-    counts = np.zeros(nbins, dtype=np.int64)
-    total = 0
-    # each worker holds a block's arrays: no more workers than blocks or cores
-    workers = max(min(n_jobs, n_blocks, os.cpu_count() or 1), 1)
-    # the pool starts no thread unless pool.map is used
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        mapper = map if workers == 1 else pool.map
-        for cc, t in mapper(work, range(n_blocks)):
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+
+    def drain():
+        """The summed counts of the blocks this thread takes."""
+        counts, total = np.zeros(nbins, dtype=np.int64), 0
+        while True:
+            with lock:
+                c = next(blocks, None)
+            if c is None:
+                return counts, total
+            cc, t = work(c)
             counts += cc
             total += t
+
+    # each thread holds a block's arrays: no more threads than blocks or usable cores
+    cores = _usable_cores()
+    workers = min(n_jobs or cores, n_blocks, cores)
+    if workers == 1:
+        counts, total = drain()
+    else:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(drain) for _ in range(workers - 1)]
+            counts, total = drain()
+            for f in futures:
+                cc, t = f.result()
+                counts += cc
+                total += t
     return CorrelationHistogram(bin_width=bin_width, counts=counts, rep_period=scenario.rep_period,
                                 n_pulses=scenario.n_pulses, mode=label, total_events=total)
 
 
 def simulate_histogram(scenario: InterferenceScenario, rng: RngSpec, *,
                        bin_width: float = 0.128, window_periods: int = 3,
-                       n_jobs: int = 1) -> CorrelationHistogram:
+                       n_jobs: int | None = None) -> CorrelationHistogram:
     """Simulate the full pulse-train coincidence histogram for the scenario.
 
-    Deterministic for a fixed RngSpec; n_jobs only distributes the fixed
-    pulse blocks over threads and cannot change the counts.
+    Deterministic for a fixed RngSpec. The fixed pulse blocks run on at most
+    n_jobs threads (None, or an integer >= 1; None: every usable core), the
+    calling thread included, and never on more threads than blocks or
+    usable cores; n_jobs cannot change the counts.
     """
     return _run_blocks(_ROUTES[scenario.mode], scenario, rng, scenario.mode,
                        bin_width, window_periods, n_jobs)
@@ -528,11 +582,13 @@ def simulate_histogram(scenario: InterferenceScenario, rng: RngSpec, *,
 
 def simulate_hbt_purity(multi_photon_prob: float, scenario: InterferenceScenario,
                         rng: RngSpec, *, bin_width: float = 0.128,
-                        window_periods: int = 3, n_jobs: int = 1) -> CorrelationHistogram:
+                        window_periods: int = 3,
+                        n_jobs: int | None = None) -> CorrelationHistogram:
     """Hanbury Brown-Twiss autocorrelation of a source that emits a second
     photon in a pulse with probability multi_photon_prob. The extracted
     central-to-side peak ratio converges to hbt_analytic_g2(multi_photon_prob).
-    The scenario's mode is not used.
+    The scenario's mode is not used; blocks and n_jobs as in
+    simulate_histogram.
     """
     if not 0 <= multi_photon_prob <= 1:
         raise ValueError(f"multi_photon_prob must lie in [0, 1], got {multi_photon_prob}")

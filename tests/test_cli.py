@@ -862,6 +862,16 @@ class TestConfigSchema:
         assert (line.startswith(f"error: cannot read config {cfg}: ") and "digits" in line
                 or line.startswith("error: n_pulses: expected a finite number"))
 
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    def test_n_jobs_echoes_as_given_and_round_trips(self, n_jobs):
+        # absent (or null), it means every usable core and echoes null
+        raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
+        assert "n_jobs" not in raw
+        cfg = config_from_dict(raw if n_jobs is None else {**raw, "n_jobs": n_jobs})
+        echo = json.loads(json.dumps(cfg.effective_dict()))
+        assert cfg.n_jobs == echo["n_jobs"] == n_jobs
+        assert config_from_dict(echo) == cfg
+
     def test_null_optional_field_or_section_takes_the_default(self, tmp_path):
         raw = json.loads((CONFIG_DIR / "p-shell.json").read_text(encoding="utf-8"))
         for key in ("emission_jitter_ns", "detector"):
@@ -920,22 +930,22 @@ FIT_INPUTS = {"hom_dip": "hom-dip-example.csv", "michelson": "michelson-example.
 PINNED_ARTIFACTS = {
     ("simulate", "remote-qd.json"): {
         "histogram.csv": "684f22666e9798e5a62b4682c2740e4b1b6bbbe7cec41d6a874a0447b2ff7587",
-        "summary.json": "b82758aa075e343b7b8597d73f42efa8b511c606aa3928e4e02612d3a60f208f"},
+        "summary.json": "bf32383e03ec503882103bc1244440604748029b0f42b6721b440686d9a51a87"},
     ("simulate", "double-pulse-rf.json"): {
         "histogram.csv": "9353c65404e2f5e8215a83b06dc9c4ac2a85d289257e48010483afe8476380e6",
-        "summary.json": "7bd1e06f97da55043dfd5a40fc3c20a2b3b18d0c063c2acb9ce567eeef9a4e73"},
+        "summary.json": "9459a54b138f02915516bb489ad0c4db72eea0b4b82a9e434a78595fff0360de"},
     ("simulate", "cross-polarized.json"): {
         "histogram.csv": "b4aa102e96dc41cf83c9fb9fdbb45511df286d48cbf3d264487cb4cb07fdbf6e",
-        "summary.json": "7bf94b53511637aa203bf2455d75027ac406837249bde3457d0428094083e8d3"},
+        "summary.json": "629950498ce3d31a0d02537a0689c4a620567cf68c0a89c1947646cf424460cf"},
     ("simulate", "p-shell.json"): {
         "histogram.csv": "02b6fe0d32bfe467c601d8ffc8f29b2f8fc30a99f24c5ddecb4ea0c87fc59f35",
-        "summary.json": "2ef760ed5a258e0d0fa6e44a93fc9a57686e75bec4f7b0feee44bcd4083591f1"},
+        "summary.json": "8d9afab4297b828c5d9e790d0c8c612ba998b3c4f13df534f69f8651cf63cd8d"},
     ("simulate", "wetting-layer.json"): {
         "histogram.csv": "760afc879633dc32ce132baead7d941d1fb9d870fcfc0b9d03db8980dd02f953",
-        "summary.json": "d3730afab6372205ccbddb3226fae551401bf6dd8a59fcdf46d9c6a5e21c5d8e"},
+        "summary.json": "6666b3ae3c285feec6e2e21a242e4b9079ee31e61648cb1c710a5329ce7e0747"},
     ("simulate", "remote-detuning-sweep.json"): {
         "histogram.csv": "01d1ba5116a5cd317c2d37f2e763a4dcca2bb228fb798fa65910544d42310271",
-        "summary.json": "0c1baca135e625ad7b4936edab243d1d56538b9489c1e5fa63b15f804cc1f738"},
+        "summary.json": "583cd6d6772a3fa332df8c664618d464625a730bd1bdf460455cbcfc98cc8c4c"},
     ("fit", "hom_dip"): {"fit.json": "987fb134963128d03849e495186521ee8a7a7601539757977e706332463acf9a"},
     ("fit", "michelson"): {"fit.json": "88b1a95dad45a04a9f3dbbddbfa26e627978f50e0535197183c7b0e2b50ab768"},
     ("fit", "exp_decay"): {"fit.json": "5b8bcf0b3dd0c1e69a133796949e37e9605b3734e11f42627fe57b64de1fd85d"},

@@ -444,6 +444,20 @@ class TestMichelsonContrast:
         env = 0.5 * (np.exp(-dts / 0.33) + np.exp(-dts / 0.18))
         assert np.all(c <= env + 1e-12)
 
+    def test_phase_past_the_float_range_is_dephased(self):
+        # fss * dt overflowed, and cos(inf) gave NaN with a RuntimeWarning;
+        # as in the sampler, a phase that is not finite leaves no cross term
+        no_cross = math.sqrt(2.0 * math.exp(-2.0 * 10.0 / 0.3)) / 2.0
+        assert michelson_contrast(10.0, 1.0, 1.0, 0.3, 0.3, 1e308) == no_cross
+        dts = np.array([0.0, 1e-300, 10.0])
+        c = michelson_contrast(dts, 1.0, 1.0, 0.3, 0.3, 1e308)
+        # the finite phases keep the cosine, bitwise
+        dt = dts[1]
+        e = np.exp(-2.0 * dt / 0.3)
+        with_cross = np.sqrt(e + e + 2.0 * np.exp(-dt / 0.3 - dt / 0.3) * np.cos(1e308 * dt)) / 2.0
+        assert c.tolist() == [1.0, with_cross, no_cross]
+        assert michelson_contrast(math.inf, 1.0, 1.0, 0.3, 0.3, 0.0) == 0.0
+
     def test_negative_delay_rejected(self):
         for dt in (-0.1, math.nan, [0.0, 0.5, -0.1]):
             with pytest.raises(ValueError):

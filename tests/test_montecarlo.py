@@ -1,7 +1,10 @@
 import hashlib
 import math
 import re
+import sys
+import threading
 import types
+from concurrent.futures import Future
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -115,8 +118,11 @@ class TestDeterminism:
         assert h1.total_events == h2.total_events
 
     @pytest.mark.parametrize("mode", MODES + ("hbt",))
-    def test_parallel_equals_serial_bitwise(self, mode):
-        # three pulse blocks through a lossy detector with jitter and dark counts
+    def test_parallel_equals_serial_bitwise(self, monkeypatch, mode):
+        # three pulse blocks through a lossy detector with jitter and dark
+        # counts, on four usable cores: n_jobs 4 and the default (every
+        # usable core) both run them on three threads
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
         det = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
         scn = InterferenceScenario(mode=MODE_REMOTE if mode == "hbt" else mode,
                                    pair=PairSpec(tau_r=0.67, sigma_g=SIGMA_REMOTE),
@@ -126,8 +132,10 @@ class TestDeterminism:
         rng = RngSpec(seed=42)
         h1 = run(scn, rng, window_periods=4, n_jobs=1)
         h4 = run(scn, rng, window_periods=4, n_jobs=4)
+        default = run(scn, rng, window_periods=4)
         assert h1.total_events > 0
         assert np.array_equal(h1.counts, h4.counts)
+        assert np.array_equal(h1.counts, default.counts)
 
     def test_block_partition_sums_to_full_run(self):
         # workers own whole pulse blocks; summing the integer counts of the
@@ -185,8 +193,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("cores, workers", [(64, 3), (2, 2), (None, 1)])
     def test_workers_bounded_by_blocks_and_cores(self, monkeypatch, cores, workers):
-        # n_jobs has no upper bound in the config; the pool gets at most one
-        # worker per block and per core. The stand-in pool starts no thread.
+        # n_jobs has no upper bound in the config; a run uses at most one
+        # thread per block and per usable core, the calling thread one of
+        # them, so the pool gets workers - 1 (no pool for one worker). Here
+        # the OS reports no affinity mask and the installed count is used.
+        # The stand-in pool runs each task in the calling thread.
         started = []
 
         class RecordingPool:
@@ -199,16 +210,75 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            @staticmethod
+            def submit(fn):
+                future = Future()
+                future.set_result(fn())
+                return future
+
+        def no_thread(self):
+            raise AssertionError("started a thread")
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setattr(montecarlo, "os", types.SimpleNamespace(cpu_count=lambda: cores))
         scn = remote_scenario(3 * CHUNK_PULSES - 5)
         rng = RngSpec(seed=47)
         wide = simulate_histogram(scn, rng, window_periods=4, n_jobs=10 ** 9)
-        assert started == [workers]
+        assert started == ([workers - 1] if workers > 1 else [])
         serial = simulate_histogram(scn, rng, window_periods=4, n_jobs=1)
         assert np.array_equal(wide.counts, serial.counts)
+
+    def test_usable_cores_read_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one CPU of 64 runs in the calling thread alone
+        pinned = types.SimpleNamespace(sched_getaffinity=lambda pid: {5}, cpu_count=lambda: 64)
+        monkeypatch.setattr(montecarlo, "os", pinned)
+        assert montecarlo._usable_cores() == 1
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", None)  # any pool would fail
+        scn = remote_scenario(3 * CHUNK_PULSES - 5)
+        assert simulate_histogram(scn, RngSpec(seed=47), window_periods=4).total_events > 0
+
+    def test_two_jobs_start_one_thread(self, monkeypatch):
+        # the calling thread is the second worker
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(self):
+            starts.append(self)
+            start(self)
+
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        scn = remote_scenario(3 * CHUNK_PULSES - 5)
+        rng = RngSpec(seed=48)
+        two = simulate_histogram(scn, rng, window_periods=4, n_jobs=2)
+        serial = simulate_histogram(scn, rng, window_periods=4, n_jobs=1)
+        assert len(starts) == 1
+        assert np.array_equal(two.counts, serial.counts)
+
+    def test_shared_block_queue_hands_out_each_block_once(self, monkeypatch):
+        # eight threads on 200 stand-in blocks, switching threads as often
+        # as the interpreter allows; stand-in block c counts one pair in bin
+        # c, so a block taken twice or never shows in the sums
+        taken = []
+
+        def block(route, scenario, rng, chunk_index, halfspan, bin_width, nbins):
+            taken.append(chunk_index)
+            counts = np.zeros(nbins, dtype=np.int64)
+            counts[chunk_index] = 1
+            return counts, 1
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", block)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            h = simulate_histogram(remote_scenario(200 * CHUNK_PULSES), RngSpec(seed=49),
+                                   window_periods=4)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(taken) == list(range(200))
+        assert h.total_events == 200 and h.counts[:200].tolist() == [1] * 200
 
     def test_rng_spec_validation(self):
         with pytest.raises(ValueError):
@@ -221,7 +291,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.13.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.14.0"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
     (MODE_REMOTE, True): "3c96ad2447ee050937ed36f193c2acb9b4328aba38666f6f023ae4894736c6e3",
@@ -629,6 +699,35 @@ class TestSimulateHistogram:
                                    rep_period=kw.pop("rep_period", 12.2), detector=DetectorModel(**kw))
         with pytest.raises(ValueError, match=match):
             simulate(scn, RngSpec(seed=1), bin_width=bin_width)
+
+    @pytest.mark.parametrize("window_periods", [-1, 0, 1.5, 3.0, math.nan, True, "3"])
+    @pytest.mark.parametrize("hbt", [False, True])
+    def test_window_periods_not_an_integer_from_1_raises(self, monkeypatch, hbt, window_periods):
+        # -1 crashed with numpy's "negative dimensions are not allowed", 0
+        # gave a one-bin histogram and 1.5 was accepted
+        monkeypatch.setattr(montecarlo, "_simulate_block", None)  # no block may run
+        simulate = partial(simulate_hbt_purity, 0.05) if hbt else simulate_histogram
+        scn = remote_scenario(1_000)
+        match = rf"^window_periods must be an integer >= 1, got {re.escape(repr(window_periods))}$"
+        with pytest.raises(ValueError, match=match):
+            simulate(scn, RngSpec(seed=1), window_periods=window_periods)
+
+    @pytest.mark.parametrize("n_jobs", [0, -3, 2.5, True, "2"])
+    def test_n_jobs_not_none_or_an_integer_from_1_raises(self, monkeypatch, n_jobs):
+        # 2.5 crashed with a TypeError where four cores are usable; 0 and -3
+        # ran on one thread
+        monkeypatch.setattr(montecarlo, "_simulate_block", None)  # no block may run
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
+        match = rf"^n_jobs must be None or an integer >= 1, got {re.escape(repr(n_jobs))}$"
+        with pytest.raises(ValueError, match=match):
+            simulate_histogram(remote_scenario(3 * CHUNK_PULSES), RngSpec(seed=1), n_jobs=n_jobs)
+
+    def test_window_periods_of_any_integer_type(self):
+        scn = remote_scenario(1_000)
+        h = simulate_histogram(scn, RngSpec(seed=1), window_periods=np.int64(2))
+        assert h.counts.size == 2 * round(2 * 12.2 / 0.128) + 1
+        with pytest.raises(ValueError, match="would have inf bins"):  # not an OverflowError
+            simulate_histogram(scn, RngSpec(seed=1), window_periods=10 ** 400)
 
     def test_block_shape_at_its_bounds(self):
         # 2 round(half) + 1 bins, with half = window_periods * rep_period /
