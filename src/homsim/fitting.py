@@ -102,45 +102,37 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
     m = p.size
     if y.size < m:
         raise ValueError(f"need at least as many points ({y.size}) as parameters ({m})")
-    if names is None:
-        names = [f"p{i}" for i in range(m)]
-    names = list(names)
+    names = [f"p{i}" for i in range(m)] if names is None else list(names)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
 
     def residual(params):
         return (model(x, params) - y) * w
 
-    def in_bounds(params):
-        if bounds is None:
-            return True
-        for v, bb in zip(params, bounds):
-            if bb is None:
-                continue
-            lo, hi = bb
-            if lo is not None and v < lo:
-                return False
-            if hi is not None and v > hi:
-                return False
-        return True
+    # (lo, hi) per parameter, +-inf for a missing side; a NaN lies inside
+    box = [(-math.inf if lo is None else lo, math.inf if hi is None else hi)
+           for lo, hi in (b or (None, None) for b in bounds or ())]
 
-    if not in_bounds(p):
+    def in_box(params):
+        return not any(v < lo or v > hi for v, (lo, hi) in zip(params, box))
+
+    if not in_box(p):
         raise ValueError("initial parameters violate bounds")
 
     r = residual(p)
     ssr = float(r @ r)
+    if not math.isfinite(ssr):
+        raise ValueError(f"the residual is not finite at the initial parameters (SSR {ssr})")
     history = [ssr]
     lam = 1e-3
     converged = False
-    accepted = 0
     message = ""
 
-    for _ in range(max_iter * 4):  # damping retries share the budget
+    for _ in range(max_iter):  # one pass per accepted step
         J = _numeric_jacobian(residual, p)
         jtj = J.T @ J
         jtr = J.T @ r
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(initial=1.0), 1.0) * 1e-12
-        stepped = False
         for _retry in range(60):
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
@@ -148,68 +140,49 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
                 lam *= 10.0
                 continue
             trial = p + delta
-            if not (np.all(np.isfinite(trial)) and in_bounds(trial)):
-                lam *= 10.0
-                continue
-            r_trial = residual(trial)
-            ssr_trial = float(r_trial @ r_trial)
-            if ssr_trial <= ssr:
-                rel_drop = (ssr - ssr_trial) / max(ssr, 1e-300)
-                step_rel = float(np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-12)))
-                p, r, ssr = trial, r_trial, ssr_trial
-                history.append(ssr)
-                accepted += 1
-                lam = max(lam * 0.3, 1e-12)
-                stepped = True
-                if rel_drop < _FTOL or step_rel < _XTOL or ssr == 0.0:
-                    converged = True
-                break
+            if np.all(np.isfinite(trial)) and in_box(trial):
+                r_trial = residual(trial)
+                ssr_trial = float(r_trial @ r_trial)
+                if ssr_trial <= ssr:
+                    break
             lam *= 10.0
-        if converged or not stepped or accepted >= max_iter:
-            if not stepped and not converged:
-                # No downhill step found at any damping: stationary point.
-                converged = True
+        else:
+            converged = True  # no downhill step at any damping: a stationary point
+            break
+        rel_drop = (ssr - ssr_trial) / max(ssr, 1e-300)
+        step_rel = float(np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-12)))
+        p, r, ssr = trial, r_trial, ssr_trial
+        history.append(ssr)
+        lam = max(lam * 0.3, 1e-12)
+        if rel_drop < _FTOL or step_rel < _XTOL or ssr == 0.0:
+            converged = True
             break
 
     # Covariance at the optimum: s^2 * inv(J^T J), s^2 = SSR / (n - m).
     J = _numeric_jacobian(residual, p)
     jtj = J.T @ J
-    dof = max(y.size - m, 1)
-    s2 = ssr / dof
+    s2 = ssr / max(y.size - m, 1)
     cond = np.linalg.cond(jtj)
     singular = not np.isfinite(cond) or cond > 1e14
     if singular and on_singular == "raise":
         raise SingularModelError(
             f"normal equations are singular at the optimum (condition number {cond:.2e}); "
             "the model is over-parameterized for this data")
+    cov = s2 * (np.linalg.pinv(jtj) if singular else np.linalg.inv(jtj))
+    se = d = np.sqrt(np.maximum(np.diag(cov), 0.0))
     if singular:
-        cov = s2 * np.linalg.pinv(jtj)
-        # Null directions get infinite standard errors.
+        # a parameter with weight on a null direction gets an infinite error
         evals, evecs = np.linalg.eigh(jtj)
-        bad = evals <= evals.max() * 1e-14
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        for j in range(m):
-            if np.any(bad & (np.abs(evecs[j, :]) > 1e-3)):
-                se[j] = np.inf
+        null = evals <= evals.max() * 1e-14
+        se = np.where((np.abs(evecs[:, null]) > 1e-3).any(axis=1), np.inf, d)
         message = "near-singular normal equations; some parameters are unidentifiable"
-    else:
-        cov = s2 * np.linalg.inv(jtj)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-
     with np.errstate(invalid="ignore", divide="ignore"):
-        d = np.sqrt(np.maximum(np.diag(cov), 0.0))
         corr = cov / np.outer(d, d)
-    return FitResult(
-        parameters=dict(zip(names, map(float, p))),
-        standard_errors=dict(zip(names, map(float, se))),
-        residual_norm=math.sqrt(ssr),
-        converged=converged,
-        iterations=accepted,
-        covariance=cov,
-        correlations=corr,
-        message=message,
-        ssr_history=history,
-    )
+    return FitResult(parameters=dict(zip(names, map(float, p))),
+                     standard_errors=dict(zip(names, map(float, se))),
+                     residual_norm=math.sqrt(ssr), converged=converged,
+                     iterations=len(history) - 1, covariance=cov, correlations=corr,
+                     message=message, ssr_history=history)
 
 
 def _as_xy(points, what):
@@ -217,6 +190,12 @@ def _as_xy(points, what):
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError(f"{what} expects a sequence of (x, y) pairs")
     return pts[:, 0], pts[:, 1]
+
+
+def _pow2_unit(span):
+    """The power of two at or just below span > 0: data in its units lie within
+    +-2, so a regression on them is well conditioned, exactly rescaled, at any scale."""
+    return math.ldexp(1.0, math.frexp(span)[1] - 1)
 
 
 def fit_hom_dip(points, weights=None) -> FitResult:
@@ -254,14 +233,18 @@ def fit_exponential_decay(points, weights=None) -> FitResult:
         raise ValueError(f"need at least 3 points, got {t.size}")
     if np.any(y <= 0):
         raise ValueError("intensities must be positive for a lifetime fit")
+    if not t.max() > t.min():
+        raise ValueError("the times must not all be equal")
 
     def decay(x, p):
         a, tau = p
         return a * np.exp(-x / np.abs(tau))
 
-    # log-linear regression for the starting point
-    slope, intercept = np.polyfit(t, np.log(y), 1)
-    tau0 = -1.0 / slope if slope < 0 else (t.max() - t.min() + 1e-9)
+    # log-linear regression for the starting point, in units of a power of
+    # two near the largest |t|, as in _michelson_starts
+    unit = _pow2_unit(np.abs(t).max())
+    slope, intercept = np.polyfit(t / unit, np.log(y), 1)  # slope per unit
+    tau0 = -unit / slope if slope < 0 else (t.max() - t.min() + 1e-9)
     a0 = math.exp(intercept)
     return nlls(decay, t, y, [a0, max(tau0, 1e-9)], names=["amplitude", "tau_r"],
                 weights=weights, bounds=[(0.0, None), (1e-12, None)])
@@ -290,10 +273,8 @@ def _michelson_starts(dt, y):
     is_max = (ys[inner] >= ys[:-2]) & (ys[inner] >= ys[2:])
     t_inner = dt[inner]
 
-    # envelope decay time from the local maxima (always includes dt ~ 0),
-    # regressed in units of the power of two just above the longest delay:
-    # well conditioned at any delay scale, and an exact rescaling
-    unit = 2.0 ** math.frexp(span)[1]
+    # envelope decay time from the local maxima (always includes dt ~ 0)
+    unit = _pow2_unit(span)
     um = np.concatenate([[dt[0]], t_inner[is_max]]) / unit
     ym = np.concatenate([[max(y[0], 1e-3)], np.maximum(ys[inner][is_max], 1e-3)])
     if um.size >= 2 and um[-1] > um[0]:

@@ -414,7 +414,7 @@ def _apply_detector(times, ports, det: DetectorModel, span_lo, span_hi, g):
 
 def _correlate(times, ports, halfspan, bin_width, nbins):
     """Histogram of t2 - t1 over all detector-1/detector-2 detection pairs
-    with |t2 - t1| <= halfspan, and the number of pairs binned.
+    with |t2 - t1| <= halfspan.
 
     Detector-1 detection i pairs with the run d2[lo[i]:lo[i] + per[i]] of
     sorted detector-2 times. Each window rank comes from one stable merge
@@ -436,7 +436,7 @@ def _correlate(times, ports, halfspan, bin_width, nbins):
     d2 = np.sort(times.compress(ports == 1))
     n1, n2 = d1.size, d2.size
     if n1 == 0 or n2 == 0:
-        return np.zeros(nbins, dtype=np.int64), 0
+        return np.zeros(nbins, dtype=np.int64)
     lo = np.flatnonzero(np.argsort(np.concatenate([d1 - halfspan, d2]), kind="stable") < n1)
     per = np.flatnonzero(np.argsort(np.concatenate([d2, d1 + halfspan]), kind="stable") >= n2) - lo
     # longest runs first, so the rows with a k-th partner are a prefix; a
@@ -460,8 +460,7 @@ def _correlate(times, ports, halfspan, bin_width, nbins):
         np.clip(t, -1, nbins, out=t)
         np.add(t, 1, out=b, casting="unsafe")
         cells += np.bincount(b, minlength=nbins + 2)
-    counts = cells[1:-1]
-    return counts, int(counts.sum())
+    return cells[1:-1]
 
 
 def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbins):
@@ -539,31 +538,26 @@ def _run_blocks(route, scenario, rng, label, bin_width, window_periods, n_jobs):
 
     def drain():
         """The summed counts of the blocks this thread takes."""
-        counts, total = np.zeros(nbins, dtype=np.int64), 0
+        counts = np.zeros(nbins, dtype=np.int64)
         while True:
             with lock:
                 c = next(blocks, None)
             if c is None:
-                return counts, total
-            cc, t = work(c)
-            counts += cc
-            total += t
+                return counts
+            counts += work(c)
 
-    # each thread holds a block's arrays: no more threads than blocks or usable cores
+    # each thread holds a block's arrays: no more threads than blocks or usable
+    # cores; the pool starts a thread per task it is given, none for one worker
     cores = _usable_cores()
     workers = min(n_jobs or cores, n_blocks, cores)
-    if workers == 1:
-        counts, total = drain()
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(drain) for _ in range(workers - 1)]
-            counts, total = drain()
-            for f in futures:
-                cc, t = f.result()
-                counts += cc
-                total += t
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(drain) for _ in range(workers - 1)]
+        counts = drain()
+        for f in futures:
+            counts += f.result()
     return CorrelationHistogram(bin_width=bin_width, counts=counts, rep_period=scenario.rep_period,
-                                n_pulses=scenario.n_pulses, mode=label, total_events=total)
+                                n_pulses=scenario.n_pulses, mode=label,
+                                total_events=int(counts.sum()))
 
 
 def simulate_histogram(scenario: InterferenceScenario, rng: RngSpec, *,

@@ -458,6 +458,28 @@ class TestFit:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and "DLASCL" not in proc.stderr
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1,2.0\n1,1.5\n1,1.0\n", "error: fit failed: the times must not all be equal\n"),
+        ("0,1\n1e300,0.5\n2e300,0.25\n", None),
+        ("0,1\n1e-300,0.5\n2e-300,0.25\n", None),
+    ], ids=["equal-times", "times-1e300", "times-1e-300"])
+    def test_lifetime_start_prints_no_numpy_warning(self, tmp_path, rows, message):
+        # the log-linear start printed polyfit's RankWarning or overflow and
+        # divide warnings (and LAPACK's DLASCL lines at 1e-300) before the
+        # error line; a fresh process shows them, as pytest's filters do not
+        data = tmp_path / "decay.csv"
+        data.write_text(rows, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "homsim.cli", "fit", "--model", "exp_decay",
+                               "--data", str(data), "--out", str(tmp_path / "fit.json")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode in (0, 2)
+        if proc.returncode == 2:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        else:
+            assert proc.stderr == ""
+        assert message is None or proc.stderr == message
+
     def test_michelson_on_a_coherence_bound_not_converged(self, tmp_path):
         # the contrast decays over 3e-7 ns, faster than the fit's smallest
         # coherence time e^-12 ns, where both coherence times stop

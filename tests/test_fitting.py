@@ -101,6 +101,21 @@ class TestNlls:
         assert math.isfinite(res.parameters["p0"]) and res.parameters["p0"] > 1e308
         assert res.iterations == 1
 
+    def test_non_finite_residual_at_the_start_raises(self):
+        # the fit ran 60 NaN retries from here, called itself converged and
+        # failed with "SVD did not converge" in the covariance
+        x = np.arange(1.0, 4.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="residual is not finite at the initial parameters"):
+            nlls(lambda x, p: np.sqrt(p[0]) * x, x, x, [-1.0])
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 5, 500])
+    def test_iterations_count_the_accepted_steps(self, max_iter):
+        res = nlls(banana, np.array([0.0, 1.0]), np.array([1.0, 0.0]), [-1.2, 1.0],
+                   max_iter=max_iter)
+        assert res.iterations == len(res.ssr_history) - 1 <= max_iter
+        assert res.converged == (max_iter == 500)
+
     def test_more_parameters_than_points_rejected(self):
         with pytest.raises(ValueError):
             nlls(lambda x, p: p[0] + p[1] * x + p[2] * x * x, np.arange(2.0),
@@ -261,6 +276,12 @@ class TestFitExponentialDecay:
     def test_non_positive_intensity_rejected(self):
         with pytest.raises(ValueError):
             fit_exponential_decay([(0.0, 10.0), (1.0, 0.0), (2.0, 1.0)])
+
+    def test_equal_times_rejected(self):
+        # polyfit warned that the log-linear start was poorly conditioned,
+        # and the fit then failed on singular normal equations
+        with pytest.raises(ValueError, match="^the times must not all be equal$"):
+            fit_exponential_decay([(1.0, 2.0), (1.0, 1.5), (1.0, 1.0)])
 
 
 class TestFitMichelson:
