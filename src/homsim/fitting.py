@@ -186,23 +186,38 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
 
 
 def _as_xy(points, what):
+    """(x / unit, y, unit) from finite (x, y) pairs, unit the power of two at or
+    just below max |x|. Each fit runs in its data's unit: the division is exact, so
+    times scaled by 2^k fit exactly 2^k-scaled, and every constant is relative."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError(f"{what} expects a sequence of (x, y) pairs")
-    return pts[:, 0], pts[:, 1]
+    x, y = pts[:, 0], pts[:, 1]
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        raise ValueError(f"{what} needs finite points; not finite: "
+                         + ", ".join(f"points[{i}] = ({x[i]}, {y[i]})" for i in bad[:5]))
+    unit = math.ldexp(1.0, math.frexp(np.max(np.abs(x), initial=0.0))[1] - 1)
+    return x / unit, y, unit
 
 
-def _pow2_unit(span):
-    """The power of two at or just below span > 0: data in its units lie within
-    +-2, so a regression on them is well conditioned, exactly rescaled, at any scale."""
-    return math.ldexp(1.0, math.frexp(span)[1] - 1)
+def _rescaled(res, name, unit):
+    """Multiply parameter `name` of res, its error and its covariance row and column
+    by the power of two `unit`, in place: exact, or inf past the float range."""
+    i = list(res.parameters).index(name)
+    res.parameters[name] *= unit
+    res.standard_errors[name] *= unit
+    with np.errstate(over="ignore"):
+        res.covariance[i] *= unit
+        res.covariance[:, i] *= unit
+    return res
 
 
 def fit_hom_dip(points, weights=None) -> FitResult:
     """Fit the interference dip g2(dt) = 0.5 * (1 - v * exp(-|dt|/tau_m)) to
     measured (delay, g2) pairs; needs at least 5 points covering both signs
     of the delay. Returns v and tau_m (names "v", "tau_m")."""
-    dt, y = _as_xy(points, "fit_hom_dip")
+    dt, y, unit = _as_xy(points, "fit_hom_dip")
     if dt.size < 5:
         raise ValueError(f"need at least 5 points, got {dt.size}")
     if not (np.any(dt > 0) and np.any(dt < 0)):
@@ -221,14 +236,14 @@ def fit_hom_dip(points, weights=None) -> FitResult:
     else:
         tau0 = float(np.median(np.abs(dt)))
     tau0 = max(tau0, 1e-6)
-    return nlls(dip, dt, y, [v0, tau0], names=["v", "tau_m"], weights=weights,
-                bounds=[(0.0, 1.5), (1e-9, None)], on_singular="flag")
+    return _rescaled(nlls(dip, dt, y, [v0, tau0], names=["v", "tau_m"], weights=weights,
+                          bounds=[(0.0, 1.5), (1e-9, None)], on_singular="flag"), "tau_m", unit)
 
 
 def fit_exponential_decay(points, weights=None) -> FitResult:
     """Fit amplitude * exp(-t/tau_r) to time-resolved intensities (all
     intensities must be positive). Returns amplitude and tau_r."""
-    t, y = _as_xy(points, "fit_exponential_decay")
+    t, y, unit = _as_xy(points, "fit_exponential_decay")
     if t.size < 3:
         raise ValueError(f"need at least 3 points, got {t.size}")
     if np.any(y <= 0):
@@ -240,17 +255,14 @@ def fit_exponential_decay(points, weights=None) -> FitResult:
         a, tau = p
         return a * np.exp(-x / np.abs(tau))
 
-    # log-linear regression for the starting point, in units of a power of
-    # two near the largest |t|, as in _michelson_starts
-    unit = _pow2_unit(np.abs(t).max())
-    slope, intercept = np.polyfit(t / unit, np.log(y), 1)  # slope per unit
-    tau0 = -unit / slope if slope < 0 else (t.max() - t.min() + 1e-9)
-    a0 = math.exp(intercept)
-    return nlls(decay, t, y, [a0, max(tau0, 1e-9)], names=["amplitude", "tau_r"],
-                weights=weights, bounds=[(0.0, None), (1e-12, None)])
+    slope, intercept = np.polyfit(t, np.log(y), 1)  # log-linear starting point
+    tau0 = -1.0 / slope if slope < 0 else (t.max() - t.min() + 1e-9)
+    return _rescaled(nlls(decay, t, y, [math.exp(intercept), max(tau0, 1e-9)],
+                          names=["amplitude", "tau_r"], weights=weights,
+                          bounds=[(0.0, None), (1e-12, None)]), "tau_r", unit)
 
 
-# nlls box of the Michelson fit: (mix, log tau_c1, log tau_c2, fss)
+# nlls box of the Michelson fit: (mix, log tau_c1, log tau_c2, fss), times in the fit's unit
 _MICHELSON_BOUNDS = [(-25.0, 25.0), (-12.0, 12.0), (-12.0, 12.0), None]
 
 
@@ -262,9 +274,8 @@ def _michelson_starts(dt, y):
     the upper envelope (local maxima of the lightly smoothed contrast) and
     the beat frequency from both the first minimum position and the median
     minimum spacing; the fit is started from each combination and the lowest
-    residual wins. The envelope is regressed in units near the longest
-    delay, so any delay scale is well conditioned, and every start is
-    clamped into the fit's bounds."""
+    residual wins. The delays are in the fit's unit (the longest in [1, 2)),
+    and every start is clamped into the fit's bounds."""
     span = float(dt.max())
     k = max(3, min(9, dt.size // 12) | 1)
     ys = np.convolve(y, np.ones(k) / k, mode="same") if dt.size >= 3 * k else y.copy()
@@ -274,12 +285,11 @@ def _michelson_starts(dt, y):
     t_inner = dt[inner]
 
     # envelope decay time from the local maxima (always includes dt ~ 0)
-    unit = _pow2_unit(span)
-    um = np.concatenate([[dt[0]], t_inner[is_max]]) / unit
+    tm = np.concatenate([[dt[0]], t_inner[is_max]])
     ym = np.concatenate([[max(y[0], 1e-3)], np.maximum(ys[inner][is_max], 1e-3)])
-    if um.size >= 2 and um[-1] > um[0]:
-        slope = np.polyfit(um, np.log(ym), 1)[0]  # per unit
-        tau_env = -unit / slope if slope < -1e-9 * unit else span
+    if tm.size >= 2 and tm[-1] > tm[0]:
+        slope = np.polyfit(tm, np.log(ym), 1)[0]
+        tau_env = -1.0 / slope if slope < -1e-9 else span
     else:
         below = dt[y < math.exp(-1)]
         tau_env = float(below.min()) if below.size else span
@@ -314,9 +324,10 @@ def fit_michelson(points, weights=None) -> FitResult:
     a1, a2 (sum fixed to 1 by the contrast normalization), tau_c1 >= tau_c2,
     and fss, with delta-method standard errors. A near-unity correlation
     between the two coherence times (degenerate, fss ~ 0 data) is flagged
-    in the message.
+    in the message. covariance and correlations are over the fitted
+    (mix, log tau_c1, log tau_c2, fss), in the order the fit found them.
     """
-    dt, y = _as_xy(points, "fit_michelson")
+    dt, y, unit = _as_xy(points, "fit_michelson")
     if dt.size < 8:
         raise ValueError(f"need at least 8 points, got {dt.size}")
     if np.any(dt < 0) or not np.any(dt > 0):
@@ -337,36 +348,31 @@ def fit_michelson(points, weights=None) -> FitResult:
                     bounds=_MICHELSON_BOUNDS)
         if res is None or cand.residual_norm < res.residual_norm:
             res = cand
+    _rescaled(res, "fss", 1.0 / unit)
+    p, e = res.parameters, res.standard_errors
 
-    mix = res.parameters["mix"]
-    a1 = 1.0 / (1.0 + math.exp(-mix))
-    tc1 = math.exp(res.parameters["log_tau_c1"])
-    tc2 = math.exp(res.parameters["log_tau_c2"])
-    se_mix = res.standard_errors["mix"]
-    se1 = tc1 * res.standard_errors["log_tau_c1"]
-    se2 = tc2 * res.standard_errors["log_tau_c2"]
-    sa = a1 * (1.0 - a1) * se_mix
-    params = {"a1": a1, "a2": 1.0 - a1, "tau_c1": tc1, "tau_c2": tc2,
-              "fss": abs(res.parameters["fss"])}
-    errors = {"a1": sa, "a2": sa, "tau_c1": se1, "tau_c2": se2,
-              "fss": res.standard_errors["fss"]}
-    if params["tau_c1"] < params["tau_c2"]:
-        params["tau_c1"], params["tau_c2"] = params["tau_c2"], params["tau_c1"]
-        errors["tau_c1"], errors["tau_c2"] = errors["tau_c2"], errors["tau_c1"]
-        params["a1"], params["a2"] = params["a2"], params["a1"]
+    a1 = 1.0 / (1.0 + math.exp(-p["mix"]))
+    sa = a1 * (1.0 - a1) * e["mix"]
+    a = [a1, 1.0 - a1]
+    tc = [math.exp(p[k]) * unit for k in ("log_tau_c1", "log_tau_c2")]
+    se = [t * e[k] for t, k in zip(tc, ("log_tau_c1", "log_tau_c2"))]
+    if tc[0] < tc[1]:  # report tau_c1 >= tau_c2
+        a, tc, se = a[::-1], tc[::-1], se[::-1]
+    params = {"a1": a[0], "a2": a[1], "tau_c1": tc[0], "tau_c2": tc[1], "fss": abs(p["fss"])}
+    errors = {"a1": sa, "a2": sa, "tau_c1": se[0], "tau_c2": se[1], "fss": e["fss"]}
 
     notes = [res.message] if res.message else []
     c = abs(float(res.correlations[1, 2]))
     if np.isfinite(c) and c > 0.99:
         notes.append(f"coherence times degenerate (correlation {c:.3f} > 0.99): "
                      "the data do not resolve two components")
-    # a log coherence time on its box edge is where the fit stopped, not a
-    # fit; damped steps creep up to an edge and stop ~1e-14 short of it
+    # a log coherence time on its box edge, log(tau_c / unit) = b, is where
+    # the fit stopped, not a fit; damped steps stop ~1e-14 short of an edge
     edges = [b for b in _MICHELSON_BOUNDS[1]
-             if any(abs(res.parameters[k] - b) < 1e-9 for k in ("log_tau_c1", "log_tau_c2"))]
+             if any(abs(p[k] - b) < 1e-9 for k in ("log_tau_c1", "log_tau_c2"))]
     for b in edges:
-        notes.append(f"a coherence time sits on the fit bound log tau_c = {b:g} "
-                     f"(tau_c = {math.exp(b):.6g} ns)")
+        notes.append(f"a coherence time sits on the fit bound log tau_c = {b:g} + log {unit:g} "
+                     f"(tau_c = {math.exp(b) * unit:.6g})")
     return FitResult(parameters=params, standard_errors=errors,
                      residual_norm=res.residual_norm, converged=res.converged and not edges,
                      iterations=res.iterations, covariance=res.covariance,

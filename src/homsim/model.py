@@ -265,16 +265,16 @@ def michelson_contrast(dt, a1, a2, tc1, tc2, fss):
         raise ValueError("weights must be finite and >= 0 with a positive sum, coherence times "
                          f"finite and > 0, and fss finite and >= 0; got {got}")
     # as in the sampler, a phase that is not finite (fss * dt overflows) is
-    # fully dephased: its cosine, and the cross term, is 0
+    # fully dephased: its cosine, and the cross term, is 0; an exponent past
+    # the float range is -inf, so its term is 0, the limit
     with np.errstate(over="ignore", invalid="ignore"):
         cos = np.cos(fss * dt)
+        e1, e2 = np.exp(-2.0 * dt / tc1), np.exp(-2.0 * dt / tc2)
+        e12 = np.exp(-dt / tc1 - dt / tc2)
     cos = np.where(np.isnan(cos), 0.0, cos)
     # the radicand is |a1 e^{-dt/tc1} + a2 e^{-dt/tc2} e^{i fss dt}|^2 >= 0; at a
     # contrast zero rounding can take it just below 0
-    out = np.sqrt(np.maximum(a1 * a1 * np.exp(-2.0 * dt / tc1)
-                             + a2 * a2 * np.exp(-2.0 * dt / tc2)
-                             + 2.0 * a1 * a2 * np.exp(-dt / tc1 - dt / tc2) * cos,
-                             0.0)) / norm
+    out = np.sqrt(np.maximum(a1 * a1 * e1 + a2 * a2 * e2 + 2.0 * a1 * a2 * e12 * cos, 0.0)) / norm
     return float(out) if out.ndim == 0 else out
 
 

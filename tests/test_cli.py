@@ -481,19 +481,19 @@ class TestFit:
         assert message is None or proc.stderr == message
 
     def test_michelson_on_a_coherence_bound_not_converged(self, tmp_path):
-        # the contrast decays over 3e-7 ns, faster than the fit's smallest
-        # coherence time e^-12 ns, where both coherence times stop
+        # the contrast decays over 3e-14 ns, faster than the fit's smallest
+        # coherence time: e^-12 times the delays' unit 2^-20 ns
         data = tmp_path / "fast.csv"
-        u = np.linspace(0.0, 1.0, 20)
+        u = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 19)])
         rows = ["delay_ns,fringe_contrast"] + [f"{1e-6 * a:.17g},{b:.17g}"
-                                               for a, b in zip(u, np.exp(-u / 0.3))]
+                                               for a, b in zip(u, np.exp(-u / 3e-8))]
         data.write_text("\n".join(rows) + "\n", encoding="utf-8")
         out = tmp_path / "fit.json"
         assert cmd_fit(data, "michelson", out) == 0
         r = json.loads(out.read_text())
-        assert r["parameters"]["tau_c2"] == pytest.approx(np.exp(-12.0), rel=1e-12)
+        assert r["parameters"]["tau_c2"] == pytest.approx(np.exp(-12.0) * 2.0 ** -20, rel=1e-12)
         assert r["converged"] is False
-        assert "fit bound log tau_c = -12" in r["message"]
+        assert "fit bound log tau_c = -12 + log 9.53674e-07" in r["message"]
 
     def test_weighted_column_accepted(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -8,6 +8,7 @@ from homsim import fitting
 from homsim.fitting import (
     _MICHELSON_BOUNDS,
     SingularModelError,
+    _as_xy,
     _michelson_starts,
     _numeric_jacobian,
     fit_exponential_decay,
@@ -318,26 +319,32 @@ class TestFitMichelson:
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-150, 1e-250, 1e6, 1e300])
     def test_starts_inside_bounds_at_any_delay_scale(self, scale):
-        # delays far outside the representable coherence times still fit
-        # (the bounds cap the result) instead of failing on the start
+        # the starts see the delays in the fit's unit, at any delay scale
         u = np.linspace(0.0, 1.0, 20)
         y = np.exp(-u / 0.3)
-        for p0 in _michelson_starts(scale * u, y):
+        dt, y, _ = _as_xy(np.column_stack([scale * u, y]), "test")
+        for p0 in _michelson_starts(dt, y):
             assert all(np.isfinite(p0))
             assert all(lo <= v <= hi for v, (lo, hi) in zip(p0, _MICHELSON_BOUNDS[:3]))
         res = fit_michelson(np.column_stack([scale * u, y]))
         assert all(math.isfinite(v) for v in res.parameters.values())
 
-    @pytest.mark.parametrize("scale", [1e-6, 2e-5, 1e6])
-    def test_coherence_time_on_a_bound_is_not_converged(self, scale):
-        # the contrast decays faster (1e-6, 2e-5) or slower (1e6) than the
-        # bounds e^-12 and e^12 ns allow; at 2e-5 the shorter coherence
-        # time stops 1.4e-14 short of its bound, and was reported converged
-        u = np.linspace(0.0, 1.0, 20)
-        res = fit_michelson(np.column_stack([scale * u, np.exp(-u / 0.3)]))
+    @pytest.mark.parametrize("scale", [1e-6, 2e-5, 1.0, 1e6])
+    @pytest.mark.parametrize("bound", [12, -12])
+    def test_coherence_time_on_a_bound_is_not_converged(self, scale, bound):
+        # relative to its delays the contrast decays slower (3e6) or faster
+        # (3e-8, sampled on log-spaced delays) than the bounds e^12 and e^-12
+        # times the delays' unit allow; a coherence time stops ~1e-14 short
+        # of its bound, and was once reported converged
+        if bound > 0:
+            u = np.linspace(0.0, 1.0, 20)
+            y = np.exp(-u / 3e6)
+        else:
+            u = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 19)])
+            y = np.exp(-u / 3e-8)
+        res = fit_michelson(np.column_stack([scale * u, y]))
         assert not res.converged
-        bound = 12 if scale > 1 else -12
-        assert f"fit bound log tau_c = {bound}" in res.message
+        assert f"fit bound log tau_c = {bound} + log " in res.message
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -349,3 +356,71 @@ class TestFitMichelson:
             fit_michelson(np.column_stack([dts - 0.5, np.full(dts.size, 0.5)]))
         with pytest.raises(ValueError):
             fit_michelson(np.column_stack([0 * dts, np.full(dts.size, 0.5)]))
+
+
+def _pow2(k):
+    return math.ldexp(1.0, k)
+
+
+class TestTimeUnit:
+    """Each fit runs in its data's power-of-two unit: times scaled by 2^k
+    give parameters and errors bitwise 2^k times (rates 2^-k times) the
+    unscaled fit, with the same path through the optimizer."""
+
+    KS = [*range(-80, 81, 8), -900, 900]
+
+    # the time dimension of each parameter, and of each covariance row; the
+    # Michelson covariance is over (mix, log tau_c1, log tau_c2, fss)
+    @pytest.mark.parametrize("fit, csv_name, times, rates, cov_dims", [
+        (fit_hom_dip, "hom-dip-example.csv", ["tau_m"], [], [0, 1]),
+        (fit_exponential_decay, "lifetime-example.csv", ["tau_r"], [], [0, 1]),
+        (fit_michelson, "michelson-example.csv", ["tau_c1", "tau_c2"], ["fss"], [0, 0, 0, -1]),
+    ], ids=["hom_dip", "exp_decay", "michelson"])
+    def test_bundled_fits_are_unit_covariant(self, fit, csv_name, times, rates, cov_dims):
+        data = np.loadtxt(CONFIG_DIR / csv_name, delimiter=",", skiprows=1)
+        ref = fit(data)
+        assert ref.converged
+        for k in self.KS:
+            s = _pow2(k)
+            res = fit(np.column_stack([data[:, 0] * s, data[:, 1]]))
+            for name, v in ref.parameters.items():
+                scale = s if name in times else 1.0 / s if name in rates else 1.0
+                assert res.parameters[name] == v * scale, (k, name)
+                assert res.standard_errors[name] == ref.standard_errors[name] * scale, (k, name)
+            assert (res.iterations, res.converged, res.message) == (ref.iterations, ref.converged,
+                                                                  ref.message)
+            assert res.residual_norm == ref.residual_norm
+            assert res.ssr_history == ref.ssr_history
+            assert np.array_equal(res.correlations, ref.correlations, equal_nan=True)
+            if abs(k) <= 80:  # the covariance stays in the float range
+                col = np.array([_pow2(k * d) for d in cov_dims])
+                assert np.array_equal(res.covariance, ref.covariance * col[:, None] * col[None, :])
+
+    @pytest.mark.parametrize("fit", [fit_hom_dip, fit_exponential_decay, fit_michelson])
+    @pytest.mark.parametrize("column, value", [(0, math.inf), (0, math.nan), (1, -math.inf)])
+    def test_non_finite_points_rejected(self, fit, column, value):
+        # a delay of inf gave a "converged" fit of the remaining points,
+        # a NaN time "the times must not all be equal"
+        t = np.linspace(0.0, 2.0, 12)
+        pts = np.column_stack([t - 1.0 if fit is fit_hom_dip else t, np.exp(-t)])
+        pts[5, column] = value
+        with pytest.raises(ValueError, match=r"not finite: points\[5\] = "):
+            fit(pts)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_decay_far_from_unit_scale(self, scale):
+        # the tau_r column of J^T J overflowed or underflowed: "singular"
+        res = fit_exponential_decay([(0.0, 1.0), (scale, 0.5), (2.0 * scale, 0.25)])
+        assert res.converged
+        assert res.parameters["tau_r"] == pytest.approx(scale / math.log(2.0), rel=1e-9)
+
+    def test_michelson_at_the_largest_delays(self):
+        # michelson_contrast overflowed in its exponents: warnings, and
+        # both coherence times on a bound
+        u = np.linspace(0.0, 1.2, 61)
+        s = 1.7e308 / 1.2
+        res = fit_michelson(np.column_stack([s * u, michelson_contrast(u, *TestFitMichelson.TRUTH)]))
+        assert res.converged and "fit bound" not in res.message
+        assert res.parameters["tau_c1"] == pytest.approx(0.33 * s, rel=1e-8)
+        assert res.parameters["tau_c2"] == pytest.approx(0.18 * s, rel=1e-8)
+        assert res.parameters["fss"] == pytest.approx(15.0 / s, rel=1e-8)

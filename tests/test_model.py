@@ -458,6 +458,12 @@ class TestMichelsonContrast:
         assert c.tolist() == [1.0, with_cross, no_cross]
         assert michelson_contrast(math.inf, 1.0, 1.0, 0.3, 0.3, 0.0) == 0.0
 
+    def test_exponent_past_the_float_range_is_zero(self):
+        # -2 dt / tc overflowed with a RuntimeWarning; its term is 0, the limit
+        assert michelson_contrast(1.7e308, 0.5, 0.5, 0.3, 0.2, 0.0) == 0.0
+        assert michelson_contrast(1e300, 0.5, 0.5, 1e-10, 0.2, 0.0) == 0.0
+        assert michelson_contrast(1e300, 0.5, 0.5, 1e-10, 1e300, 0.0) == np.sqrt(0.25 * np.exp(-2.0))
+
     def test_negative_delay_rejected(self):
         for dt in (-0.1, math.nan, [0.0, 0.5, -0.1]):
             with pytest.raises(ValueError):

@@ -295,7 +295,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.14.1"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.15.0"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
     (MODE_REMOTE, True): "3c96ad2447ee050937ed36f193c2acb9b4328aba38666f6f023ae4894736c6e3",
@@ -842,3 +842,51 @@ class TestAnalyticReferences:
         rep = peak_areas(h, 7 * 0.67, 6, first_side_peak=2)
         ref = (1.0 - analytic_visibility(scn)) / 2.0
         assert abs(rep.g2_indist - ref) < 4 * rep.g2_indist_err
+
+
+class TestTimeUnit:
+    """Times x 2^k and rates x 2^-k leave every count and visibility
+    bitwise: the simulator and the closed forms have no preferred unit."""
+
+    KS = (-600, -10, 10, 600)
+
+    @staticmethod
+    def scaled(scn, k):
+        s = math.ldexp(1.0, k)
+        pair, det = scn.pair, scn.detector
+        return replace(scn, rep_period=scn.rep_period * s, intra_delay=scn.intra_delay * s,
+                       emission_jitter=scn.emission_jitter * s,
+                       pair=replace(pair, tau_r=pair.tau_r * s, delta_tau=pair.delta_tau * s,
+                                    delta0=pair.delta0 / s, sigma_g=pair.sigma_g / s),
+                       detector=replace(det, timing_jitter_sigma=det.timing_jitter_sigma * s,
+                                        dark_rate=det.dark_rate / s))
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["own-detector", "lossy-detector"])
+    @pytest.mark.parametrize("mode", list(PINNED_CONFIGS))
+    def test_histograms_are_unit_covariant(self, mode, lossy):
+        cfg = load_config(CONFIG_DIR / PINNED_CONFIGS[mode])
+        scn = replace(cfg.scenario, n_pulses=20_000)
+        if lossy:
+            scn = replace(scn, detector=LOSSY_DETECTOR)
+        run = partial(simulate_hbt_purity, 0.05) if mode == "hbt" else simulate_histogram
+
+        def counts(k):
+            return run(self.scaled(scn, k), RngSpec(seed=7), bin_width=math.ldexp(cfg.bin_width, k),
+                       window_periods=cfg.window_periods).counts
+
+        ref = counts(0)
+        assert ref.sum() > 0
+        for k in self.KS:
+            assert np.array_equal(counts(k), ref), k
+            assert analytic_visibility(self.scaled(scn, k)) == analytic_visibility(scn), k
+
+    def test_sweep_is_unit_covariant(self):
+        scn = replace(remote_scenario(1), emission_jitter=0.2)
+        delta_tau = np.linspace(-2.0, 2.0, 9)[:, None, None]
+        delta0 = np.linspace(-3.0, 3.0, 7)[:, None]
+        sigma_g = np.array([0.0, 0.3, 2.0, 40.0])
+        ref = analytic_visibility_at(scn, delta_tau, delta0, sigma_g)
+        for k in self.KS:
+            s = math.ldexp(1.0, k)
+            v = analytic_visibility_at(self.scaled(scn, k), delta_tau * s, delta0 / s, sigma_g / s)
+            assert np.array_equal(v, ref), k
