@@ -264,6 +264,14 @@ def michelson_contrast(dt, a1, a2, tc1, tc2, fss):
                         in zip(("a1", "a2", "tc1", "tc2", "fss"), (a1, a2, tc1, tc2, fss)))
         raise ValueError("weights must be finite and >= 0 with a positive sum, coherence times "
                          f"finite and > 0, and fss finite and >= 0; got {got}")
+    # the contrast depends on a1 / (a1 + a2) alone: dividing the weights and
+    # their sum by the power of two at or just below the sum is exact and
+    # keeps the radicand in the float range (math is cheaper than a ufunc on a scalar)
+    if isinstance(norm, np.ndarray):
+        unit = np.ldexp(0.5, np.frexp(norm)[1])
+    else:
+        unit = math.ldexp(0.5, math.frexp(norm)[1])
+    a1, a2, norm = a1 / unit, a2 / unit, norm / unit
     # as in the sampler, a phase that is not finite (fss * dt overflows) is
     # fully dephased: its cosine, and the cross term, is 0; an exponent past
     # the float range is -inf, so its term is 0, the limit

@@ -18,8 +18,9 @@ threads, every usable core by default, and the calling thread is one of
 them, so a run starts one pool thread fewer than it uses. The stages
 select elements by index (take) or with compress, never by boolean-mask
 indexing, which numpy runs several times slower on the half-full masks
-that routing produces. They work in place where an old value is dead and
-evaluate a branch only for rows that can take it, with every operation in
+that routing produces. They work in place where an old value is dead, and
+a meeting pair's split is screened with a float32 cosine and checked with
+the float64 one only near its threshold (_splits), with every operation in
 its order, so counts stay bitwise equal.
 
 Reproducibility contract
@@ -220,8 +221,9 @@ def _sample_meeting_pairs(tau_r, dtau, delta, g):
     tested, like the phase, on the exponential delays and |dtau| rather than
     on the rounded times. A phase that is not finite (delta or the product
     overflows) is fully dephased, c = 0. Every pair draws two exponentials,
-    one uniform and two coins and takes at most one cosine, whatever its
-    parameters; averaged over the times, the split probability is
+    one uniform and two coins, whatever its parameters, and _splits decides
+    it from a float32 cosine, or a float64 one near the threshold; averaged
+    over the times, the split probability is
     (1 - e^{-|dtau|/tau_r} / (1 + tau_r^2 delta^2)) / 2."""
     n = dtau.size
     d = np.abs(dtau)
@@ -230,24 +232,51 @@ def _sample_meeting_pairs(tau_r, dtau, delta, g):
     u = g.random(n)
     swap = g.integers(0, 2, n, dtype=bool)  # True: photon a is the later packet's
     port_a = _coin(g, n)
-    both = np.flatnonzero(early >= d)
-    c = late.take(both)  # the phase delta (t_late - t_early), then its cosine
-    c -= early.take(both)
-    c += d.take(both)
+    phase = late - early  # the phase delta (t_late - t_early)
+    phase += d
     with np.errstate(over="ignore", invalid="ignore"):
-        c *= delta.take(both)
-        np.cos(c, out=c)
-    np.nan_to_num(c, copy=False, nan=0.0)
-    np.subtract(1.0, c, out=c)  # c becomes the split probability (1 - c)/2
-    c *= 0.5
-    opposite = u < 0.5  # where a packet is dead at one of the times
-    opposite[both] = u.take(both) < c
+        phase *= delta
+    opposite = _splits(u, phase)
+    np.copyto(opposite, u < 0.5, where=early < d)  # a packet is dead at one of the times
     d *= 0.5  # each onset's offset from the midpoint
     early -= d
     late += d
     t_a = np.where(swap, late, early)
     np.copyto(late, early, where=swap)  # late becomes t_b
     return opposite, t_a, late, port_a, port_a ^ opposite
+
+
+def _splits(u, phase):
+    """u < (1 - c)/2 for c = cos(phase), c = 0 where the phase is not
+    finite: bitwise the float64 decision, made by a float32 screen.
+
+    The screen compares u and p = (1 - cos(phase))/2 in float32. Against
+    the float64 values p is off by at most 2^-25 (|phase| + 2), from the
+    rounding of the phase and the float32 cosine, and u by 2^-25, so where
+    they differ by more than 2^-20 (1 + |phase|), over 10 times the sum,
+    the float32 comparison is the float64 one. The other rows, and rows
+    whose p is NaN (a phase past the float32 range or not finite), take the
+    float64 cosine: about 1 in 150,000 at remote-qd's phases."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = phase.astype(np.float32)  # +-inf past the float32 range
+        p = np.cos(x)
+    np.subtract(np.float32(1.0), p, out=p)
+    p *= np.float32(0.5)
+    v = u.astype(np.float32)
+    split = v < p
+    v -= p  # v becomes |u - p|
+    np.abs(v, out=v)
+    np.abs(x, out=x)  # x becomes the tolerance
+    x += np.float32(1.0)
+    x *= np.float32(2.0 ** -20)
+    near = np.flatnonzero(~(v > x))  # NaN compares false: NaN rows are near
+    with np.errstate(invalid="ignore"):
+        c = np.cos(phase.take(near))
+    np.nan_to_num(c, copy=False, nan=0.0)
+    np.subtract(1.0, c, out=c)
+    c *= 0.5
+    split[near] = u.take(near) < c
+    return split
 
 
 def _sample_independent(onsets, tau_r, g):
@@ -380,8 +409,10 @@ def sample_pair_events(scenario: InterferenceScenario, n: int, rng: RngSpec) -> 
 
     Draws from the RngSpec's block-0 stream, the SFC64 generator seeded by
     SeedSequence(seed, spawn_key=(stream_id, 0)) that a histogram run would
-    start from.
+    start from. An n that is not an integer >= 0 raises ValueError.
     """
+    if not _is_count(n, 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     g = _chunk_rng(rng, 0)
     tr = scenario.pair.tau_r
     _, dtau, delta, _ = _route_remote(scenario, g, np.zeros(n))
@@ -476,9 +507,9 @@ def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbin
     return _correlate(times, ports, halfspan, bin_width, nbins)
 
 
-def _is_count(value):
-    """An integer >= 1, of any integer type but bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def _is_count(value, least=1):
+    """An integer >= least, of any integer type but bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def _block_shape(rep_period, bin_width, window_periods, dark_rate, names=None):

@@ -464,6 +464,25 @@ class TestMichelsonContrast:
         assert michelson_contrast(1e300, 0.5, 0.5, 1e-10, 0.2, 0.0) == 0.0
         assert michelson_contrast(1e300, 0.5, 0.5, 1e-10, 1e300, 0.0) == np.sqrt(0.25 * np.exp(-2.0))
 
+    def test_weights_are_scale_free(self):
+        # a1^2 overflowed for weights near 1e200 and gave inf with a
+        # RuntimeWarning; the contrast depends on a1 / (a1 + a2) alone, and
+        # weights scaled by a power of two give it bitwise
+        dts = np.linspace(0.0, 2.0, 41)
+        ref = michelson_contrast(dts, 1.0, 1.0, 0.3, 0.2, 15.0)
+        for s in (2.0 ** -1070, 2.0 ** -500, 0.5, 2.0 ** 600, 2.0 ** 1022):
+            assert np.array_equal(michelson_contrast(dts, s, s, 0.3, 0.2, 15.0), ref)
+            rows = michelson_contrast(dts, np.array([[s], [1.0]]), np.array([[s], [1.0]]),
+                                      0.3, 0.2, 15.0)
+            assert np.array_equal(rows, [ref, ref])
+        assert michelson_contrast(0.5, 1e200, 1e200, 0.3, 0.2, 0.0) == pytest.approx(0.1355, abs=5e-5)
+        assert (michelson_contrast(0.5, 1e200, 1e200, 0.3, 0.2, 0.0)
+                == michelson_contrast(0.5, 1.0, 1.0, 0.3, 0.2, 0.0))
+        # a weight too small beside the other to count leaves one line
+        one_line = michelson_contrast(0.5, np.array([1e-320, 5e-324]), np.array([1e300, 0.0]),
+                                      0.3, 0.2, 0.0)
+        assert one_line == pytest.approx([math.exp(-0.5 / 0.2), math.exp(-0.5 / 0.3)], rel=1e-15)
+
     def test_negative_delay_rejected(self):
         for dt in (-0.1, math.nan, [0.0, 0.5, -0.1]):
             with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from homsim.montecarlo import (
     _route_hbt,
     _sample_meeting_pairs,
     _simulate_block,
+    _splits,
     analytic_visibility,
     analytic_visibility_at,
     hbt_analytic_g2,
@@ -295,7 +296,7 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.15.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.15.1"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
     (MODE_REMOTE, True): "3c96ad2447ee050937ed36f193c2acb9b4328aba38666f6f023ae4894736c6e3",
@@ -307,6 +308,25 @@ PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_CROSS_POLARIZED, True): "504be786561c9c3c15f62fc1eefaaf9ace73e24011ca885dfd345c2dd5ae1360",
     ("hbt", False): "b0a942fca4e443ca179a465a3d27d9103534cff9d4da2c2ac7ba4d9bac400779",
     ("hbt", True): "5d1c9842dabf4a8ab7ed6b8f611b13a15f5ceb3bcdfba8fab5d78f9d8dffce97",
+}
+EDGE_PAIRS = {  # remote PairSpec fields beside tau_r = 0.67, and the emission jitter
+    "sigma_g=1e200": ({"sigma_g": 1e200}, 0.0),  # the phase is not finite
+    "delta0=1e30": ({"sigma_g": SIGMA_REMOTE, "delta0": 1e30}, 0.0),
+    "delta0=1e39": ({"sigma_g": SIGMA_REMOTE, "delta0": 1e39}, 0.0),  # past the float32 range
+    "sigma_g=50": ({"sigma_g": 50.0}, 0.0),  # large phases
+    "dead-packets": ({"sigma_g": SIGMA_REMOTE, "delta_tau": 0.5}, 0.2),
+}
+EDGE_SHA256 = {  # pinned with PINNED_SHA256: (sampled pairs, histogram counts)
+    "sigma_g=1e200": ("02de733e3b15025ae4fe9529e961930c5be732dc67a3b91dbc119f1c3d363286",
+                      "25924be5d78d344a4505b5e3a4d8c0d08cdacd4dfacf8caa54bb4138c50b5418"),
+    "delta0=1e30": ("e372d48209ca54a9e07dbf0e5157af40f68453c4162f02f8c175c1bf6375859f",
+                    "91ceed26e5f605cfdcb1993a3b765554a9e8fcf1d476282c78ab9f5c6e0bd7f6"),
+    "delta0=1e39": ("fcf90c12fb4b99cb0c9ffccb235ec49c3cd3ca54ee252a0407357f3c18b4bc86",
+                    "e0e8499cf256937662ec5cff87c9b11d17529d08071d0be93313aaf16dc49a60"),
+    "sigma_g=50": ("cd976717e00d374b21f268bcaf488af17e0b47b9dcbe3e270d1513f5e9105fcf",
+                   "bc3aaa1dc0101b0f89284b3dbe04bef0e56fced621e30d8878d6e83250546a5f"),
+    "dead-packets": ("cce850f5cb0b19674ecbb2373cfc8a5683355069430fabe45614f39962a02dbf",
+                     "7ea525acf743f5412d8941f311466a4d98aa213e8f08520f2701b17e6005008b"),
 }
 
 
@@ -340,8 +360,35 @@ class TestPinnedHistograms:
         digest = hashlib.sha256(pinned_counts(mode, lossy).tobytes()).hexdigest()
         assert digest == PINNED_SHA256[mode, lossy]
 
+    @pytest.mark.parametrize("case", list(EDGE_PAIRS))
+    def test_sampler_edge_cases_are_pinned(self, case):
+        """Remote pairs whose phase is not finite, past the float32 range or
+        large, and pairs whose earlier packet is dead at the later time:
+        the sha256 of 50,000 sampled pairs (opposite_port, t_a, t_b bytes)
+        and of a 100,000-pulse histogram's counts, both at seed 23."""
+        pair, jitter = EDGE_PAIRS[case]
+        scn = InterferenceScenario(mode=MODE_REMOTE, pair=PairSpec(tau_r=0.67, **pair),
+                                   rep_period=12.2, emission_jitter=jitter, n_pulses=100_000)
+        b = sample_pair_events(scn, 50_000, RngSpec(seed=23))
+        events = hashlib.sha256(b.opposite_port.tobytes() + b.t_a.tobytes() + b.t_b.tobytes())
+        counts = hashlib.sha256(simulate_histogram(scn, RngSpec(seed=23)).counts.tobytes())
+        assert (events.hexdigest(), counts.hexdigest()) == EDGE_SHA256[case]
+
 
 class TestPairEvents:
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "3", None])
+    def test_n_not_an_integer_from_0_raises(self, n):
+        # -1 crashed with numpy's "negative dimensions are not allowed", and
+        # 2.5 and True with a TypeError
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got "):
+            sample_pair_events(remote_scenario(), n, RngSpec(seed=7))
+
+    @pytest.mark.parametrize("mode", [MODE_REMOTE, MODE_CROSS_POLARIZED])
+    def test_n_of_any_integer_type_from_0(self, mode):
+        scn = replace(remote_scenario(), mode=mode)
+        assert len(sample_pair_events(scn, 0, RngSpec(seed=7))) == 0
+        assert len(sample_pair_events(scn, np.int64(3), RngSpec(seed=7))) == 3
+
     def test_perfect_interference_never_splits(self):
         scn = remote_scenario(pair=PairSpec(tau_r=0.67))
         batch = sample_pair_events(scn, 20_000, RngSpec(seed=7))
@@ -424,6 +471,30 @@ class TestPairEvents:
 
 
 class TestPairSampler:
+    def test_split_decision_is_the_float64_one(self):
+        # u at the float64 threshold p = (1 - c)/2 and one ulp either side,
+        # and at multiples of the float32 screen's tolerance 2^-20 (1 + |phase|)
+        # from it, for phases from 1e-3 to 1e300, multiples of pi, phases
+        # that round to the float32 maximum or past it, +-inf and NaN
+        f32max = float(np.finfo(np.float32).max)
+        phases = np.concatenate([
+            np.geomspace(1e-3, 1e300, 2_000), np.pi * np.arange(-40, 41),
+            np.pi * np.array([1e3, 1e6 + 1, 1e9, 2.0 ** 40 + 1]),
+            f32max * (1 + np.array([2.0 ** -26, 2.0 ** -25, 2.0 ** -24, 1e-6, 1e-3])),
+            [f32max, 3.4028235e38, np.inf, -np.inf, np.nan, 0.0, -0.0]])
+        phases = np.concatenate([phases, -phases])
+        with np.errstate(invalid="ignore"):
+            p = (1.0 - np.nan_to_num(np.cos(phases), nan=0.0)) / 2.0
+        tol = np.fmin(2.0 ** -20 * (1.0 + np.abs(phases)), 1.0)  # NaN: 1
+        steps = np.array([-1e3, -2.0, -1.01, -1.0, -0.99, -0.5, 0.5, 0.99, 1.0, 1.01, 2.0, 1e3])
+        u = np.concatenate([p, np.nextafter(p, -1.0), np.nextafter(p, 2.0),
+                            *(np.clip(p + k * tol, 0.0, 1.0) for k in steps)])
+        phase = np.tile(phases, u.size // phases.size)
+        with np.errstate(invalid="ignore"):
+            reference = u < (1.0 - np.nan_to_num(np.cos(phase), nan=0.0)) / 2.0
+        assert np.array_equal(_splits(u, phase), reference)
+        assert 0 < reference.sum() < reference.size
+
     @pytest.mark.parametrize("dtau", [0.0, -0.0, 1e-300, 0.3, -2.0, 500.0])
     def test_split_share_given_the_detuning(self, dtau):
         # at a fixed detuning the pairs split with probability
