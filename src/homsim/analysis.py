@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .montecarlo import _is_count
+
 __all__ = [
     "PeakAreaReport",
     "WindowConfigurationError",
@@ -118,10 +120,10 @@ def peak_areas(hist, window_halfwidth: float, n_side_peaks: int = 6, *,
         from every bin before integrating.
     """
     T = hist.rep_period
-    if n_side_peaks < 2 or n_side_peaks % 2 != 0:
-        raise ValueError(f"n_side_peaks must be a positive even count, got {n_side_peaks}")
-    if first_side_peak < 1:
-        raise ValueError(f"first_side_peak must be >= 1, got {first_side_peak}")
+    if not (_is_count(n_side_peaks, 2) and n_side_peaks % 2 == 0):
+        raise ValueError(f"n_side_peaks must be a positive even count, got {n_side_peaks!r}")
+    if not _is_count(first_side_peak):
+        raise ValueError(f"first_side_peak must be an integer >= 1, got {first_side_peak!r}")
     k_max = first_side_peak + n_side_peaks // 2 - 1
     _check_windows(window_halfwidth, T, k_max * T, hist.window_halfspan())
     lags = np.array([s * k for k in range(first_side_peak, k_max + 1) for s in (+1, -1)],

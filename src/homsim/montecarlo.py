@@ -5,23 +5,25 @@ record: a pulse train drives one or two emitters, photon pairs meet (or miss)
 on the final beam splitter, detections land on two counters, and every
 counter-pair delay within the histogram window is tallied.
 
-Every pairing mode and the HBT purity measurement run one pipeline per
-block of CHUNK_PULSES pulses. A routing function per mode (HBT is one more)
-draws the emission randomness, in an order that fixes the mode's stream, and
-returns the meeting pairs (midpoint, arrival offset, frequency difference)
-and the groups of lone photon onsets; _mode_detections samples both, the
-meeting pairs in one direct draw from the two-photon detection law
-(_sample_meeting_pairs: a fixed set of draws per pair, nothing rejected);
-_apply_detector and _correlate follow; _run_blocks sums the blocks into one
-CorrelationHistogram. It runs them on min(n_jobs, blocks, usable cores)
-threads, every usable core by default, and the calling thread is one of
-them, so a run starts one pool thread fewer than it uses. The stages
-select elements by index (take) or with compress, never by boolean-mask
-indexing, which numpy runs several times slower on the half-full masks
-that routing produces. They work in place where an old value is dead, and
-a meeting pair's split is screened with a float32 cosine and checked with
-the float64 one only near its threshold (_splits), with every operation in
-its order, so counts stay bitwise equal.
+Every pairing mode and the HBT purity measurement run one pipeline per block
+of CHUNK_PULSES pulses. Three routing functions draw the emission
+randomness, in an order that fixes each mode's stream: _route_remote (two
+emitters), _route_interferometer (one emitter's photons through an
+unbalanced interferometer: the consecutive and pulse-pair modes) and
+_route_hbt. Each returns the meeting pairs (midpoint, arrival offset,
+frequency difference) and the groups of lone photon onsets; _mode_detections
+samples both, the meeting pairs in one direct draw from the two-photon
+detection law (_sample_meeting_pairs: a fixed set of draws per pair, nothing
+rejected); _apply_detector and _correlate follow; _run_blocks sums the
+blocks into one CorrelationHistogram. It runs them on min(n_jobs, blocks,
+usable cores) threads, every usable core by default, and the calling thread
+is one of them, so a run starts one pool thread fewer than it uses. The
+stages select elements by index (take) or with compress, never by
+boolean-mask indexing, which numpy runs several times slower on the
+half-full masks that routing produces. They work in place where an old value
+is dead, and a meeting pair's split is screened with a float32 cosine and
+checked with the float64 one only near its threshold (_splits), with every
+operation in its order, so counts stay bitwise equal.
 
 Reproducibility contract
 ------------------------
@@ -115,10 +117,10 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= self.stream_id < 2 ** 32:
-            raise ValueError(f"stream_id must fit in 32 bits, got {self.stream_id}")
+        if not (_is_count(self.seed, 0) and self.seed < 2 ** 64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not (_is_count(self.stream_id, 0) and self.stream_id < 2 ** 32):
+            raise ValueError(f"stream_id must be a 32-bit unsigned integer, got {self.stream_id!r}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,9 @@ class InterferenceScenario:
                 f"intra_delay must lie in (0, rep_period), got {self.intra_delay}")
         if not (self.emission_jitter >= 0 and math.isfinite(self.emission_jitter)):
             raise ValueError(f"emission_jitter must be finite and >= 0, got {self.emission_jitter}")
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        if not (_is_count(self.n_pulses) and self.n_pulses <= CHUNK_PULSES * 2 ** 32):
+            raise ValueError(f"n_pulses must be an integer from 1 to {CHUNK_PULSES * 2 ** 32}, "
+                             f"got {self.n_pulses!r}")
 
 
 @dataclass
@@ -296,8 +299,8 @@ def _jitter(g, sigma, n):
 
 
 def _detuning(g, pair, n):
-    """Pair frequency differences drawn from the jitter ensemble."""
-    if pair.sigma_g > 0:
+    """Pair frequency differences drawn from the jitter ensemble (no draw for none)."""
+    if pair.sigma_g > 0 and n:
         return g.normal(pair.delta0, math.sqrt(2.0) * pair.sigma_g, n)
     return np.full(n, pair.delta0)
 
@@ -315,57 +318,35 @@ def _route_remote(scenario, g, pulse_t):
     return mid, dtau, _detuning(g, scenario.pair, n), []
 
 
-def _route_pulse_pair(scenario, g, pulse_t):
-    """Two photons per pulse, intra_delay apart, through an unbalanced
-    interferometer: the first on the long arm meets the second on the short
-    one, unless their polarizations are crossed."""
+def _route_interferometer(scenario, g, pulse_t):
+    """One emitter's photons through an unbalanced interferometer whose long
+    arm adds D + delta_tau: one stream (consecutive mode, D = rep_period) or
+    two, the second D = intra_delay after the pulse (pulse-pair modes).
+    Photon n of the first stream on the long arm meets the next photon on
+    the short arm: photon n of the second stream, or photon n + 1 of the one
+    stream. Crossed polarizations never meet. Solo photons form one group
+    per stream, in pulse order."""
     n = pulse_t.size
-    d = scenario.intra_delay
     off = scenario.pair.delta_tau
-    jA = _jitter(g, scenario.emission_jitter, n)
-    jB = _jitter(g, scenario.emission_jitter, n)
-    rA = g.integers(0, 2, n, dtype=bool)  # True: long interferometer arm (+d + off)
-    rB = g.integers(0, 2, n, dtype=bool)
-    if scenario.mode == MODE_DOUBLE_PULSE:
-        meet = rA & ~rB
-        im = np.flatnonzero(meet)
-        delta = _detuning(g, scenario.pair, im.size)
-    else:  # crossed polarizations: every photon is solo
-        im, delta = np.empty(0, np.intp), np.empty(0)
-    jAm, jBm = jA.take(im), jB.take(im)
-    mid = pulse_t.take(im) + d + (jAm + jBm + off) / 2.0
-    # every photon's onset, in place in its jitter buffer (the solo ones are
-    # kept); a route flag times (d + off) adds the long arm's extra delay or 0
-    jA += pulse_t
-    jA += rA * (d + off)
-    jB += pulse_t + d
-    jB += rB * (d + off)
-    if scenario.mode == MODE_DOUBLE_PULSE:
-        np.logical_not(meet, out=meet)
-        jA = jA.compress(meet)
-        jB = jB.compress(meet)
-    return mid, off + jAm - jBm, delta, [jA, jB]
-
-
-def _route_consecutive(scenario, g, pulse_t):
-    """One photon per pulse: photon k on the long arm meets photon k+1 on
-    the short one."""
-    n = pulse_t.size
-    T = scenario.rep_period
-    off = scenario.pair.delta_tau
-    j = _jitter(g, scenario.emission_jitter, n)
-    routes = g.integers(0, 2, n, dtype=bool)  # True: long arm (+rep_period + off)
-    meet = np.zeros(n, dtype=bool)
-    meet[:-1] = routes[:-1] & ~routes[1:]
-    solo = ~meet
-    solo[1:] &= ~meet[:-1]
-    k = np.flatnonzero(meet)
-    delta = _detuning(g, scenario.pair, k.size)
-    isolo = np.flatnonzero(solo)
-    jk, jk1 = j.take(k), j.take(k + 1)
-    mid = pulse_t.take(k) + T + (jk + jk1 + off) / 2.0
-    ons = pulse_t.take(isolo) + j.take(isolo) + routes.take(isolo) * (T + off)
-    return mid, off + jk - jk1, delta, [ons]
+    s = int(scenario.mode == MODE_CONSECUTIVE)  # index step from a first-stream photon to the next
+    D = scenario.rep_period if s else scenario.intra_delay
+    jit = [_jitter(g, scenario.emission_jitter, n) for _ in range(2 - s)]
+    arm = [g.integers(0, 2, n, dtype=bool) for _ in range(2 - s)]  # True: long arm
+    met = np.zeros(n + s, dtype=bool)  # met[s + i]: photon i of the first stream meets
+    if scenario.mode != MODE_CROSS_POLARIZED:
+        np.greater(arm[0][:n - s], arm[-1][s:], out=met[s:n])  # long, and the next short
+    im = np.flatnonzero(met[s:])
+    j0, j1 = jit[0].take(im), jit[-1][s:].take(im)
+    mid = pulse_t.take(im) + D + (j0 + j1 + off) / 2.0
+    # every photon's onset, in place in its jitter buffer; an arm flag times
+    # (D + off) adds the long arm's extra delay or 0
+    for k, (j, a) in enumerate(zip(jit, arm)):
+        j += pulse_t + D if k else pulse_t
+        j += a * (D + off)
+    if im.size:  # drop each meeting's two photons; with no meeting, all are solo as they are
+        solo = np.flatnonzero(~(met[s:] | met[:n]))
+        jit = [j.take(solo) for j in jit]
+    return mid, off + j0 - j1, _detuning(g, scenario.pair, im.size), jit
 
 
 def _route_hbt(multi_photon_prob, scenario, g, pulse_t):
@@ -379,8 +360,8 @@ def _route_hbt(multi_photon_prob, scenario, g, pulse_t):
     return none, none, none, [first, second]
 
 
-_ROUTES = {MODE_REMOTE: _route_remote, MODE_CONSECUTIVE: _route_consecutive,
-           MODE_DOUBLE_PULSE: _route_pulse_pair, MODE_CROSS_POLARIZED: _route_pulse_pair}
+_ROUTES = {MODE_REMOTE: _route_remote, MODE_CONSECUTIVE: _route_interferometer,
+           MODE_DOUBLE_PULSE: _route_interferometer, MODE_CROSS_POLARIZED: _route_interferometer}
 
 
 def _mode_detections(route, scenario, g, pulse_t):
@@ -623,8 +604,10 @@ def simulate_hbt_purity(multi_photon_prob: float, scenario: InterferenceScenario
 
 def hbt_analytic_g2(multi_photon_prob: float) -> float:
     """Central-to-side peak ratio of the two-photon admixture model:
-    g2 = 2p / (1 + p)^2 for second-photon probability p."""
+    g2 = 2p / (1 + p)^2 for second-photon probability p in [0, 1]."""
     p = multi_photon_prob
+    if not 0 <= p <= 1:
+        raise ValueError(f"multi_photon_prob must lie in [0, 1], got {p}")
     return 2.0 * p / (1.0 + p) ** 2
 
 

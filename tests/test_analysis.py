@@ -96,6 +96,14 @@ class TestPeakAreas:
             peak_areas(h, 3.0, 5)
         with pytest.raises(ValueError):
             peak_areas(h, 3.0, 6, first_side_peak=0)
+        # non-integers used to raise a TypeError from range, and True was taken as 1
+        for n in (4.0, 3.0, True, "4", None):
+            with pytest.raises(ValueError, match="^n_side_peaks must be a positive even count"):
+                peak_areas(h, 3.0, n)
+        for first in (1.5, 2.0, True, "1", None):
+            with pytest.raises(ValueError, match="^first_side_peak must be an integer >= 1"):
+                peak_areas(h, 3.0, 4, first_side_peak=first)
+        assert peak_areas(h, 3.0, np.int64(2), first_side_peak=np.int8(1)).n_side_peaks == 2
 
     def test_error_scales_with_counts(self):
         peaks_small = [(0.0, 300)] + [(k * 12.2, 1000) for k in (-2, -1, 1, 2)]

@@ -286,17 +286,19 @@ class TestDeterminism:
         assert h.total_events == 200 and h.counts[:200].tolist() == [1] * 200
 
     def test_rng_spec_validation(self):
-        with pytest.raises(ValueError):
-            RngSpec(seed=-1)
-        with pytest.raises(ValueError):
-            RngSpec(seed=1, stream_id=2 ** 32)
+        # 2.5 used to raise a TypeError from SeedSequence, and True was accepted
+        for field, bad in (("seed", -1), ("seed", 2 ** 64), ("stream_id", -1), ("stream_id", 2 ** 32),
+                           *((f, v) for f in ("seed", "stream_id") for v in (2.5, 3.0, True, "3", None))):
+            with pytest.raises(ValueError, match=f"^{field} must be a .*, got {bad!r}$"):
+                RngSpec(**{"seed": 1, field: bad})
+        assert RngSpec(np.uint64(2 ** 64 - 1), np.int32(3)) == RngSpec(2 ** 64 - 1, 3)
 
 
 PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json",
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.15.1"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.15.2"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
     (MODE_REMOTE, True): "3c96ad2447ee050937ed36f193c2acb9b4328aba38666f6f023ae4894736c6e3",
@@ -328,6 +330,33 @@ EDGE_SHA256 = {  # pinned with PINNED_SHA256: (sampled pairs, histogram counts)
     "dead-packets": ("cce850f5cb0b19674ecbb2373cfc8a5683355069430fabe45614f39962a02dbf",
                      "7ea525acf743f5412d8941f311466a4d98aa213e8f08520f2701b17e6005008b"),
 }
+
+
+ROUTE_SHA256 = {  # pinned at 0.15.1 with route_digest, before its two routes became one
+    MODE_CONSECUTIVE: "5e56a9063ec1d92161df210be247f5addfe32a865f7123afffe0de7290966766",
+    MODE_DOUBLE_PULSE: "634885d4dce5ad22225ca1959ca9ace0c5bf6fdd7368eb8806ec7363f0e5c8e1",
+    MODE_CROSS_POLARIZED: "6ada657440b991fdc2be117a8d02e564b5cdf11e7d81f251ee4515d5b8e42ffa",
+}
+
+
+def route_digest(mode):
+    """sha256 over the cases, in order, of _mode_detections' times and
+    ports bytes and the stream's next g.random(4): delta_tau 0.3, -1.7 and
+    13 (past the 12.5 ns period), emission jitter 0 and 0.2 ns, blocks of 1
+    and CHUNK_PULSES pulses, each drawn from block 3's stream at seed 31."""
+    h = hashlib.sha256()
+    T, block = 12.5, 3
+    for off in (0.3, -1.7, 13.0):
+        for jitter in (0.0, 0.2):
+            pair = PairSpec(tau_r=0.67, delta_tau=off, delta0=0.1, sigma_g=0.3)
+            scn = InterferenceScenario(mode=mode, pair=pair, rep_period=T, intra_delay=3.3,
+                                       emission_jitter=jitter)
+            for n in (1, CHUNK_PULSES):
+                g = _chunk_rng(RngSpec(seed=31), block)
+                pulse_t = block * CHUNK_PULSES * T + np.arange(n) * T
+                times, ports = _mode_detections(_ROUTES[mode], scn, g, pulse_t)
+                h.update(times.tobytes() + ports.tobytes() + g.random(4).tobytes())
+    return h.hexdigest()
 
 
 def pinned_counts(mode, lossy):
@@ -373,6 +402,13 @@ class TestPinnedHistograms:
         events = hashlib.sha256(b.opposite_port.tobytes() + b.t_a.tobytes() + b.t_b.tobytes())
         counts = hashlib.sha256(simulate_histogram(scn, RngSpec(seed=23)).counts.tobytes())
         assert (events.hexdigest(), counts.hexdigest()) == EDGE_SHA256[case]
+
+    @pytest.mark.parametrize("mode", list(ROUTE_SHA256))
+    def test_interferometer_route_is_pinned(self, mode):
+        """_mode_detections of the one-emitter modes away from the bundled
+        geometry: offsets of either sign and one past the period, with and
+        without emission jitter, at a single pulse and a whole block."""
+        assert route_digest(mode) == ROUTE_SHA256[mode]
 
 
 class TestPairEvents:
@@ -725,6 +761,20 @@ class TestSimulateHistogram:
         assert int(h.counts.sum()) == h.total_events
         assert h.counts.dtype == np.int64
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True, "3", None, CHUNK_PULSES * 2 ** 32 + 1])
+    def test_n_pulses_not_an_integer_in_range_raises(self, n):
+        # 2.5 and 3.0 used to raise a TypeError inside the block loop, and
+        # True ran one pulse; the bound keeps block indices below 2^32
+        with pytest.raises(ValueError, match=r"^n_pulses must be an integer from 1 to 281474976710656, got "):
+            InterferenceScenario(mode=MODE_REMOTE, pair=PairSpec(tau_r=1.0), rep_period=12.2,
+                                 n_pulses=n)
+
+    def test_n_pulses_bounds_are_accepted(self):
+        for n in (1, np.int64(7), CHUNK_PULSES * 2 ** 32):
+            scn = InterferenceScenario(mode=MODE_REMOTE, pair=PairSpec(tau_r=1.0),
+                                       rep_period=12.2, n_pulses=n)
+            assert scn.n_pulses == n
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             InterferenceScenario(mode="bogus", pair=PairSpec(tau_r=1.0), rep_period=12.2)
@@ -835,6 +885,20 @@ class TestHbtPurity:
         assert multi_photon_prob_for_g2(0.0) == 0.0
         with pytest.raises(ValueError):
             multi_photon_prob_for_g2(0.6)
+
+    @pytest.mark.parametrize("p", [-1.0, -1e-300, 1.0 + 2 ** -52, 2.0, math.nan, math.inf])
+    def test_analytic_g2_outside_probabilities_raises(self, p):
+        # -1 divided by zero, 2 gave 0.444 and NaN gave NaN; the domain is
+        # simulate_hbt_purity's
+        with pytest.raises(ValueError, match=r"^multi_photon_prob must lie in \[0, 1\], got "):
+            hbt_analytic_g2(p)
+        scn = remote_scenario(1)
+        with pytest.raises(ValueError, match=r"^multi_photon_prob must lie in \[0, 1\], got "):
+            simulate_hbt_purity(p, scn, RngSpec(seed=1))
+
+    def test_analytic_g2_at_the_domain_ends(self):
+        assert hbt_analytic_g2(0.0) == 0.0
+        assert hbt_analytic_g2(1.0) == 0.5
 
 
 class TestAnalyticReferences:
