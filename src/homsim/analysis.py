@@ -124,6 +124,8 @@ def peak_areas(hist, window_halfwidth: float, n_side_peaks: int = 6, *,
         raise ValueError(f"n_side_peaks must be a positive even count, got {n_side_peaks!r}")
     if not _is_count(first_side_peak):
         raise ValueError(f"first_side_peak must be an integer >= 1, got {first_side_peak!r}")
+    if not math.isfinite(baseline_per_bin):
+        raise ValueError(f"baseline_per_bin must be finite, got {baseline_per_bin!r}")
     k_max = first_side_peak + n_side_peaks // 2 - 1
     _check_windows(window_halfwidth, T, k_max * T, hist.window_halfspan())
     lags = np.array([s * k for k in range(first_side_peak, k_max + 1) for s in (+1, -1)],
@@ -140,6 +142,9 @@ def g2_indist_double_pulse(hist, intra_delay: float, window_halfwidth: float) ->
     g2 = central / (satellite sum) puts perfectly distinguishable photons at
     0.5 and perfect interference at 0, matching the side-peak convention.
     """
+    if not 0 < intra_delay < hist.rep_period:
+        raise ValueError(f"intra_delay must lie in (0, rep_period = {hist.rep_period}) ns, "
+                         f"got {intra_delay!r}")
     _check_windows(window_halfwidth, _pulse_pair_spacing(intra_delay, hist.rep_period),
                    intra_delay, hist.window_halfspan())
     centers = np.array([+intra_delay, -intra_delay])

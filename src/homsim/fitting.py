@@ -3,9 +3,12 @@ and fringe-contrast curves.
 
 The optimizer is a plain Levenberg-Marquardt with multiplicative damping:
 steps are only ever accepted when they reduce the sum of squared residuals,
-so the residual norm is non-increasing across accepted iterations. Standard
-errors come from the residual-scaled inverse normal-equations matrix at the
-optimum.
+so the residual norm is non-increasing across accepted iterations. nlls
+takes one start or a stack of starts; a stack runs in lockstep, each start
+a generator (_damped_loop) that yields the parameter set or Jacobian stack
+it needs, and each round evaluates every live start's request in one
+stacked model call. Standard errors come from the residual-scaled inverse
+normal-equations matrix at the optimum of the returned start.
 """
 
 from __future__ import annotations
@@ -51,22 +54,81 @@ class FitResult:
     ssr_history: list[float] = field(default_factory=list)
 
 
-def _numeric_jacobian(residual, p):
-    """Central-difference Jacobian, shape (n, m), from one residual call on
-    the stack of the 2m shifted parameter sets p +/- h_j e_j, with
-    h_j = 1e-7 max(|p_j|, 1e-3). J is stored C-contiguous: the summation
-    order of J.T @ J follows the layout."""
+def _shifted_sets(p):
+    """The 2m parameter sets p +/- h_j e_j of a central-difference Jacobian,
+    shape (2m, m), and the steps h_j = 1e-7 max(|p_j|, 1e-3)."""
     m = p.size
     h = 1e-7 * np.maximum(np.abs(p), 1e-3)
     sets = np.full((2 * m, m), p)
     j = np.arange(m)
     sets[j, j] += h
     sets[m + j, j] -= h
-    r = residual(sets.T[:, :, None])  # (2m, n)
+    return sets, h
+
+
+def _central_difference(r, h):
+    """Jacobian, shape (n, m), from the residual rows (2m, n) of the shifted
+    sets. J is stored C-contiguous: the summation order of J.T @ J follows
+    the layout."""
+    m = h.size
     return np.ascontiguousarray(((r[:m] - r[m:]) / (2.0 * h)[:, None]).T)
 
 
+def _numeric_jacobian(residual, p):
+    """Central-difference Jacobian from one residual call on the stack of the
+    2m shifted parameter sets."""
+    sets, h = _shifted_sets(p)
+    return _central_difference(residual(sets.T[:, :, None]), h)
+
+
 _FTOL = _XTOL = 1e-14  # relative SSR drop and step size that end the iteration
+
+
+def _damped_loop(p, in_box, max_iter):
+    """The Levenberg-Marquardt loop of one start, as a generator. It yields
+    each request for residuals, a parameter set (m,) or the (2m, m) shifted
+    sets of a Jacobian, is sent that request's residual rows, and returns
+    (p, r, ssr, ssr_history, converged)."""
+    if not in_box(p.tolist()):
+        raise ValueError("initial parameters violate bounds")
+    r = yield p
+    ssr = float(r @ r)
+    if not math.isfinite(ssr):
+        raise ValueError(f"the residual is not finite at the initial parameters (SSR {ssr})")
+    history = [ssr]
+    lam = 1e-3
+
+    for _ in range(max_iter):  # one pass per accepted step
+        sets, h = _shifted_sets(p)
+        J = _central_difference((yield sets), h)
+        jtj = J.T @ J
+        neg_jtr = -(J.T @ r)
+        diag = np.diag(jtj).copy()
+        diag[diag <= 0] = max(diag.max(initial=1.0), 1.0) * 1e-12
+        damping = np.diag(diag)
+        for _retry in range(60):
+            try:
+                delta = np.linalg.solve(jtj + lam * damping, neg_jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = p + delta
+            if np.isfinite(trial).all() and in_box(trial.tolist()):
+                r_trial = yield trial
+                ssr_trial = float(r_trial @ r_trial)
+                if ssr_trial <= ssr:
+                    break
+            lam *= 10.0
+        else:  # no downhill step at any damping: a stationary point
+            return p, r, ssr, history, True
+        rel_drop = (ssr - ssr_trial) / max(ssr, 1e-300)
+        step_rel = float(np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-12)))
+        p, r, ssr = trial, r_trial, ssr_trial
+        history.append(ssr)
+        lam = max(lam * 0.3, 1e-12)
+        if rel_drop < _FTOL or step_rel < _XTOL or ssr == 0.0:
+            return p, r, ssr, history, True
+    return p, r, ssr, history, False
 
 
 def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
@@ -82,8 +144,14 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
         params[:, i, 0]. Each Jacobian evaluates its 2m finite-difference
         sets in one stacked call, so the model must broadcast over a (k, 1)
         stack, as one written in numpy ufuncs on params[j] does.
-    p0 : sequence of float
-        Initial parameter values; len(ydata) must be >= len(p0).
+    p0 : sequence of float, or (K, m) array of them
+        Initial parameter values; len(ydata) must be >= m. A stack of K
+        starts runs K damped loops in lockstep: each round evaluates what
+        every live start asks for in one stacked model call (a lone start
+        calls the model as a single start does), and the fit returned is
+        the first start with the lowest residual norm. Each start's
+        arithmetic is that of its own single-start fit. If a start raises,
+        the error of the first start that raises is raised.
     names : sequence of str, optional
         Parameter names for the result dicts (default p0, p1, ...).
     bounds : sequence of (lo, hi) or None entries, optional
@@ -92,14 +160,17 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
     weights : array, optional
         Per-point weights multiplying the residuals (1/sigma_y).
     on_singular : "raise" or "flag"
-        Near-singular normal equations at the optimum either raise
+        Near-singular normal equations at the returned optimum either raise
         SingularModelError or set infinite standard errors on the
         unidentifiable directions and record a message.
     """
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
-    p = np.asarray(p0, dtype=float).copy()
-    m = p.size
+    starts = np.array(p0, dtype=float, ndmin=2)
+    if starts.ndim != 2 or not len(starts):
+        raise ValueError(f"p0 must be one start (m,) or a stack of starts (K, m), "
+                         f"got shape {np.shape(p0)}")
+    m = starts.shape[1]
     if y.size < m:
         raise ValueError(f"need at least as many points ({y.size}) as parameters ({m})")
     names = [f"p{i}" for i in range(m)] if names is None else list(names)
@@ -115,48 +186,49 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
     def in_box(params):
         return not any(v < lo or v > hi for v, (lo, hi) in zip(params, box))
 
-    if not in_box(p):
-        raise ValueError("initial parameters violate bounds")
+    loops = [_damped_loop(p, in_box, max_iter) for p in starts]
+    ends, errors = {}, {}
 
-    r = residual(p)
-    ssr = float(r @ r)
-    if not math.isfinite(ssr):
-        raise ValueError(f"the residual is not finite at the initial parameters (SSR {ssr})")
-    history = [ssr]
-    lam = 1e-3
-    converged = False
-    message = ""
+    def step(i, rows, asks):
+        try:
+            asks.append((i, loops[i].send(rows)))
+        except StopIteration as stop:
+            ends[i] = stop.value
+        except Exception as exc:
+            errors[i] = exc
 
-    for _ in range(max_iter):  # one pass per accepted step
-        J = _numeric_jacobian(residual, p)
-        jtj = J.T @ J
-        jtr = J.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = max(diag.max(initial=1.0), 1.0) * 1e-12
-        for _retry in range(60):
+    asks = []  # (start, request) of the live starts, in start order
+    for i in range(len(loops)):
+        step(i, None, asks)
+    while asks:
+        if errors:  # a sequential fit never ran the starts after one that raised
+            asks = [(i, q) for i, q in asks if i < min(errors)]
+        this_round, asks = asks, []
+        stacked = None
+        if len(this_round) > 1:
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
+                stacked = residual(np.vstack([q for _, q in this_round]).T[:, :, None])
+            except Exception:  # ask each start alone, so an error stays with its start
+                pass
+        at = 0
+        for i, q in this_round:
+            try:
+                if stacked is None:
+                    rows = residual(q if q.ndim == 1 else q.T[:, :, None])
+                elif q.ndim == 1:
+                    rows, at = stacked[at], at + 1
+                else:
+                    rows, at = stacked[at:at + len(q)], at + len(q)
+            except Exception as exc:
+                errors[i] = exc
                 continue
-            trial = p + delta
-            if np.all(np.isfinite(trial)) and in_box(trial):
-                r_trial = residual(trial)
-                ssr_trial = float(r_trial @ r_trial)
-                if ssr_trial <= ssr:
-                    break
-            lam *= 10.0
-        else:
-            converged = True  # no downhill step at any damping: a stationary point
-            break
-        rel_drop = (ssr - ssr_trial) / max(ssr, 1e-300)
-        step_rel = float(np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-12)))
-        p, r, ssr = trial, r_trial, ssr_trial
-        history.append(ssr)
-        lam = max(lam * 0.3, 1e-12)
-        if rel_drop < _FTOL or step_rel < _XTOL or ssr == 0.0:
-            converged = True
-            break
+            step(i, rows, asks)
+    if errors:
+        raise errors[min(errors)]
+    # min keeps the first of equal norms: the first start with the strictly lowest norm
+    best = min(range(len(loops)), key=lambda i: math.sqrt(ends[i][2]))
+    p, r, ssr, history, converged = ends[best]
+    message = ""
 
     # Covariance at the optimum: s^2 * inv(J^T J), s^2 = SSR / (n - m).
     J = _numeric_jacobian(residual, p)
@@ -340,14 +412,9 @@ def fit_michelson(points, weights=None) -> FitResult:
         a1 = 1.0 / (1.0 + np.exp(-mix))
         return michelson_contrast(x, a1, 1.0 - a1, np.exp(ltc1), np.exp(ltc2), np.abs(fss))
 
-    starts = _michelson_starts(dt, y)
-    res = None
-    for p0 in starts:
-        cand = nlls(contrast, dt, y, p0, names=["mix", "log_tau_c1", "log_tau_c2", "fss"],
-                    weights=weights, on_singular="flag",
-                    bounds=_MICHELSON_BOUNDS)
-        if res is None or cand.residual_norm < res.residual_norm:
-            res = cand
+    res = nlls(contrast, dt, y, _michelson_starts(dt, y),
+               names=["mix", "log_tau_c1", "log_tau_c2", "fss"], weights=weights,
+               on_singular="flag", bounds=_MICHELSON_BOUNDS)
     _rescaled(res, "fss", 1.0 / unit)
     p, e = res.parameters, res.standard_errors
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,10 @@ class TestPeakAreas:
             with pytest.raises(ValueError, match="^first_side_peak must be an integer >= 1"):
                 peak_areas(h, 3.0, 4, first_side_peak=first)
         assert peak_areas(h, 3.0, np.int64(2), first_side_peak=np.int8(1)).n_side_peaks == 2
+        # NaN gave g2_indist NaN, inf "side windows contain no counts"
+        for baseline in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^baseline_per_bin must be finite"):
+                peak_areas(h, 3.0, 4, baseline_per_bin=baseline)
 
     def test_error_scales_with_counts(self):
         peaks_small = [(0.0, 300)] + [(k * 12.2, 1000) for k in (-2, -1, 1, 2)]
@@ -131,6 +137,13 @@ class TestDoublePulseG2:
         h = make_hist(rep_period=12.5, bin_width=0.05, peaks=[(0.0, 100)])
         with pytest.raises(WindowConfigurationError):
             g2_indist_double_pulse(h, intra_delay=2.0, window_halfwidth=1.1)
+
+    @pytest.mark.parametrize("intra_delay", [-3.0, 0.0, 12.5, 20.0, math.nan, math.inf])
+    def test_intra_delay_outside_the_period_rejected(self, intra_delay):
+        # -3.0 raised "must lie in (0, -1.5) ns", NaN "(0, nan)": neither named intra_delay
+        h = make_hist(rep_period=12.5, bin_width=0.05, peaks=[(0.0, 100)])
+        with pytest.raises(ValueError, match=r"^intra_delay must lie in \(0, rep_period = 12.5\)"):
+            g2_indist_double_pulse(h, intra_delay=intra_delay, window_halfwidth=0.9)
 
     @staticmethod
     def pulse_pair_hist(delay):

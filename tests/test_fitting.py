@@ -137,18 +137,23 @@ def column_jacobian(residual, p):
     return J
 
 
+def bundled(csv_name):
+    return np.loadtxt(CONFIG_DIR / csv_name, delimiter=",", skiprows=1)
+
+
 def bundled_problems(monkeypatch, fit, csv_name):
-    """(model, x, y, p0) of every nlls call that fit makes on a bundled CSV;
-    the bundled curves carry no weights."""
+    """(model, x, y, starts) of every nlls call that fit makes on a bundled
+    CSV, starts the (K, m) stack of its starting points; the bundled curves
+    carry no weights."""
     calls = []
     real = fitting.nlls
 
     def recording(model, x, y, p0, **kwargs):
-        calls.append((model, np.asarray(x), np.asarray(y), np.asarray(p0, dtype=float)))
+        calls.append((model, np.asarray(x), np.asarray(y), np.array(p0, dtype=float, ndmin=2)))
         return real(model, x, y, p0, **kwargs)
 
     monkeypatch.setattr(fitting, "nlls", recording)
-    fit(np.loadtxt(CONFIG_DIR / csv_name, delimiter=",", skiprows=1))
+    fit(bundled(csv_name))
     return calls
 
 
@@ -178,9 +183,11 @@ class TestBatchedJacobian:
         (fit_michelson, "michelson-example.csv", 2),
     ], ids=["hom_dip", "exp_decay", "michelson"])
     def test_bundled_models_at_their_starts(self, monkeypatch, fit, csv_name, n_starts):
+        # one nlls call per fit: the Michelson fit hands it its stack of starts
         problems = bundled_problems(monkeypatch, fit, csv_name)
-        assert len(problems) == n_starts
-        for model, x, y, p0 in problems:
+        assert [len(starts) for *_, starts in problems] == [n_starts]
+        (model, x, y, starts), = problems
+        for p0 in starts:
             self.check(model, x, y, p0)
 
     @pytest.mark.parametrize("model, x, p", [
@@ -203,6 +210,112 @@ class TestBatchedJacobian:
         x = np.linspace(0, 1, 5)
         with pytest.raises(ValueError, match="slope below 1"):
             nlls(model, x, 2.0 * x, [1.0, 0.0])
+
+
+def sequential_nlls(model, x, y, p0, **kwargs):
+    """The reference for a stack of starts: one single-start nlls call per
+    start, in order, keeping the first with the lowest residual norm."""
+    res = None
+    for p in np.array(p0, dtype=float, ndmin=2):
+        cand = nlls(model, x, y, p, **kwargs)
+        if res is None or cand.residual_norm < res.residual_norm:
+            res = cand
+    return res
+
+
+def fit_bytes(res):
+    """Everything a fit returns, in exactly comparable form."""
+    return (list(res.parameters), np.array(list(res.parameters.values())).tobytes(),
+            np.array(list(res.standard_errors.values())).tobytes(),
+            np.float64(res.residual_norm).tobytes(), res.converged, res.iterations, res.message,
+            np.array(res.ssr_history).tobytes(), res.covariance.tobytes(),
+            res.correlations.tobytes())
+
+
+def picky_line(x, p):
+    # a line whose intercept must stay at or above -5; the error names the
+    # lowest intercept of the request
+    if np.min(p[1]) < -5.0:
+        raise ValueError(f"intercept {float(np.min(p[1]))!r} below -5")
+    return p[0] * x + p[1]
+
+
+class TestLockstep:
+    """nlls runs a stack of starts in lockstep, each with the arithmetic of
+    its own single-start fit, and returns the first start with the lowest
+    residual norm: fit_michelson is bitwise the sequential loop over its
+    starts, and a single-start fit calls its model as before."""
+
+    @staticmethod
+    def michelson_cases():
+        data = bundled("michelson-example.csv")
+        x, y0 = data[:, 0], data[:, 1]
+        rng = np.random.default_rng(29)
+        yield data, None
+        for i in range(200):
+            level = (0.002, 0.01, 0.05)[i % 3]
+            y = np.clip(y0 + level * rng.standard_normal(y0.size), 0.0, 1.0)
+            y[x == 0.0] = 1.0
+            weights = 1.0 / (level * (0.5 + rng.random(y0.size))) if i % 2 else None
+            yield np.column_stack([x * _pow2((0, -30, 40, 5)[i % 4]), y]), weights
+
+    def test_michelson_matches_the_sequential_starts(self, monkeypatch):
+        cases = list(self.michelson_cases())
+        lockstep = [fit_bytes(fit_michelson(pts, weights=w)) for pts, w in cases]
+        monkeypatch.setattr(fitting, "nlls", sequential_nlls)
+        four = 0
+        for (pts, w), got in zip(cases, lockstep):
+            assert got == fit_bytes(fit_michelson(pts, weights=w))
+            four += len(_michelson_starts(*_as_xy(pts, "test")[:2])) == 4
+        assert four >= 50
+
+    @pytest.mark.parametrize("y0", [-8.0, -3.0])
+    def test_error_of_the_first_start_that_raises(self, y0):
+        # start 1 raises at its first residual, in the first (stacked) round;
+        # toward an intercept of -8 start 0 raises later, on a trial step, and
+        # its error is the one the sequential loop gives
+        x = np.linspace(0.0, 1.0, 6)
+        starts = [[0.0, 5.0], [0.0, -10.0], [0.0, 0.0]]
+        with pytest.raises(ValueError) as seq:
+            sequential_nlls(picky_line, x, 2.0 * x + y0, starts)
+        with pytest.raises(ValueError) as lock:
+            nlls(picky_line, x, 2.0 * x + y0, starts)
+        assert str(lock.value) == str(seq.value)
+        assert (str(seq.value) == "intercept -10.0 below -5") == (y0 == -3.0)
+
+    def test_one_start_in_a_stack_is_a_single_start(self):
+        x = np.linspace(0.0, 2.0, 9)
+        y = np.exp(-x / 0.7)
+        model = lambda x, p: p[0] * np.exp(-x / p[1])  # noqa: E731
+        assert (fit_bytes(nlls(model, x, y, [[0.8, 1.1]]))
+                == fit_bytes(nlls(model, x, y, [0.8, 1.1])))
+        with pytest.raises(ValueError, match="p0 must be one start"):
+            nlls(model, x, y, np.zeros((0, 2)))
+
+    # 0.15.2 made 43 Michelson model calls, a fit per start; a lone request
+    # goes to the model as one set (m,) or its Jacobian's (m, 2m, 1) stack,
+    # never as a stack of one set (m, 1, 1)
+    @pytest.mark.parametrize("fit, csv_name, n_calls", [
+        (fit_hom_dip, "hom-dip-example.csv", 12),
+        (fit_exponential_decay, "lifetime-example.csv", 4),
+        (fit_michelson, "michelson-example.csv", 25),
+    ], ids=["hom_dip", "exp_decay", "michelson"])
+    def test_model_call_budget(self, monkeypatch, fit, csv_name, n_calls):
+        shapes = []
+        real = fitting.nlls
+
+        def recording(model, *args, **kwargs):
+            def counted(x, p):
+                shapes.append(np.shape(p))
+                return model(x, p)
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "nlls", recording)
+        fit(bundled(csv_name))
+        assert len(shapes) == n_calls
+        assert all(s[1:] != (1, 1) for s in shapes)
+        if fit is not fit_michelson:
+            assert set(shapes) == {(2,), (2, 4, 1)}
 
 
 class TestFitHomDip:
