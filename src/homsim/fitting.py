@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import michelson_contrast
+from .model import _michelson_contrast
 
 __all__ = [
     "FitResult",
@@ -408,9 +408,10 @@ def fit_michelson(points, weights=None) -> FitResult:
         raise ValueError("contrasts must lie in [0, 1]")
 
     def contrast(x, p):
+        # valid by construction: a logistic weight, exponential times and |fss|
         mix, ltc1, ltc2, fss = p
         a1 = 1.0 / (1.0 + np.exp(-mix))
-        return michelson_contrast(x, a1, 1.0 - a1, np.exp(ltc1), np.exp(ltc2), np.abs(fss))
+        return _michelson_contrast(x, a1, 1.0 - a1, np.exp(ltc1), np.exp(ltc2), np.abs(fss))
 
     res = nlls(contrast, dt, y, _michelson_starts(dt, y),
                names=["mix", "log_tau_c1", "log_tau_c2", "fss"], weights=weights,

@@ -264,6 +264,13 @@ def michelson_contrast(dt, a1, a2, tc1, tc2, fss):
                         in zip(("a1", "a2", "tc1", "tc2", "fss"), (a1, a2, tc1, tc2, fss)))
         raise ValueError("weights must be finite and >= 0 with a positive sum, coherence times "
                          f"finite and > 0, and fss finite and >= 0; got {got}")
+    return _michelson_contrast(dt, a1, a2, tc1, tc2, fss)
+
+
+def _michelson_contrast(dt, a1, a2, tc1, tc2, fss):
+    """michelson_contrast on parameters already known valid: dt a float
+    array >= 0, the parameters floats or float arrays."""
+    norm = a1 + a2
     # the contrast depends on a1 / (a1 + a2) alone: dividing the weights and
     # their sum by the power of two at or just below the sum is exact and
     # keeps the radicand in the float range (math is cheaper than a ufunc on a scalar)

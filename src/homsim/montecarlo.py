@@ -12,18 +12,22 @@ emitters), _route_interferometer (one emitter's photons through an
 unbalanced interferometer: the consecutive and pulse-pair modes) and
 _route_hbt. Each returns the meeting pairs (midpoint, arrival offset,
 frequency difference) and the groups of lone photon onsets; _mode_detections
-samples both, the meeting pairs in one direct draw from the two-photon
-detection law (_sample_meeting_pairs: a fixed set of draws per pair, nothing
-rejected); _apply_detector and _correlate follow; _run_blocks sums the
-blocks into one CorrelationHistogram. It runs them on min(n_jobs, blocks,
-usable cores) threads, every usable core by default, and the calling thread
-is one of them, so a run starts one pool thread fewer than it uses. The
-stages select elements by index (take) or with compress, never by
-boolean-mask indexing, which numpy runs several times slower on the
-half-full masks that routing produces. They work in place where an old value
-is dead, and a meeting pair's split is screened with a float32 cosine and
-checked with the float64 one only near its threshold (_splits), with every
-operation in its order, so counts stay bitwise equal.
+samples both into one pair of block arrays, the meeting pairs in one direct
+draw from the two-photon detection law (_sample_meeting_pairs: a fixed set
+of draws per pair, nothing rejected). Meeting pairs come in packet order:
+the photons of the pairs' earlier packets, then those of their later
+packets. Which of a pair's photons is photon a is drawn, but only
+sample_pair_events applies that exchange; _correlate sorts each port's
+times and never reads it. _apply_detector and _correlate follow;
+_run_blocks sums the blocks into one CorrelationHistogram. It runs them on
+min(n_jobs, blocks, usable cores) threads, every usable core by default,
+and the calling thread is one of them, so a run starts one pool thread
+fewer than it uses. The stages select elements by index (take) or with
+compress, never by boolean-mask indexing, which numpy runs several times
+slower on the half-full masks that routing produces. They work in place
+where an old value is dead, and a meeting pair's split is screened with a
+float32 cosine and checked with the float64 one only near its threshold
+(_splits), with every operation in its order, so counts stay bitwise equal.
 
 Reproducibility contract
 ------------------------
@@ -163,8 +167,13 @@ class CorrelationHistogram:
     total_events: int
 
     def __post_init__(self):
-        if not self.bin_width > 0:
-            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
+        # every check is written so that NaN fails it
+        for name in ("bin_width", "rep_period"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not _is_count(self.n_pulses):
+            raise ValueError(f"n_pulses must be an integer >= 1, got {self.n_pulses!r}")
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
@@ -207,10 +216,14 @@ def _chunk_rng(rng: RngSpec, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _sample_meeting_pairs(tau_r, dtau, delta, g):
+def _sample_meeting_pairs(tau_r, dtau, delta, g, times, ports):
     """Joint outcome for pairs that overlap on the beam splitter: whether the
-    photons split, the two detection times (relative to the pair midpoint)
-    and the port of each detection.
+    photons split, and the two detections of each pair, written to times
+    (relative to the pair midpoint) and ports, both of shape (2, n): row 0
+    holds the photon of each pair's earlier packet, row 1 that of its later
+    packet. Which of the two is photon a, swap, is returned beside the split
+    flags and applied by sample_pair_events alone; a histogram does not
+    read it.
 
     Two exponential packets with onsets -+dtau/2 and frequency difference
     delta are detected at t_a, t_b with density
@@ -223,15 +236,17 @@ def _sample_meeting_pairs(tau_r, dtau, delta, g):
     the earlier packet is detected at least |dtau| after its onset, which is
     tested, like the phase, on the exponential delays and |dtau| rather than
     on the rounded times. A phase that is not finite (delta or the product
-    overflows) is fully dephased, c = 0. Every pair draws two exponentials,
-    one uniform and two coins, whatever its parameters, and _splits decides
-    it from a float32 cosine, or a float64 one near the threshold; averaged
-    over the times, the split probability is
+    overflows) is fully dephased, c = 0. Every pair draws two exponentials
+    (all of them in one fill, the earlier packets' first), one uniform and
+    two coins, whatever its parameters, and _splits decides it from a
+    float32 cosine, or a float64 one near the threshold; averaged over the
+    times, the split probability is
     (1 - e^{-|dtau|/tau_r} / (1 + tau_r^2 delta^2)) / 2."""
     n = dtau.size
     d = np.abs(dtau)
-    early = g.exponential(tau_r, n)  # delay of the photon whose packet starts at -d/2
-    late = g.exponential(tau_r, n)  # and of the one whose packet starts at +d/2
+    g.standard_exponential(out=times)
+    times *= tau_r
+    early, late = times  # the delays of the photons whose packets start at -d/2 and +d/2
     u = g.random(n)
     swap = g.integers(0, 2, n, dtype=bool)  # True: photon a is the later packet's
     port_a = _coin(g, n)
@@ -239,14 +254,16 @@ def _sample_meeting_pairs(tau_r, dtau, delta, g):
     phase += d
     with np.errstate(over="ignore", invalid="ignore"):
         phase *= delta
-    opposite = _splits(u, phase)
-    np.copyto(opposite, u < 0.5, where=early < d)  # a packet is dead at one of the times
+    dead = early < d  # a packet is dead at one of the times
     d *= 0.5  # each onset's offset from the midpoint
     early -= d
     late += d
-    t_a = np.where(swap, late, early)
-    np.copyto(late, early, where=swap)  # late becomes t_b
-    return opposite, t_a, late, port_a, port_a ^ opposite
+    del d  # free before _splits allocates its buffers
+    opposite = _splits(u, phase)
+    np.copyto(opposite, u < 0.5, where=dead)
+    np.bitwise_xor(port_a, swap & opposite, out=ports[0])
+    np.bitwise_xor(ports[0], opposite, out=ports[1])
+    return opposite, swap
 
 
 def _splits(u, phase):
@@ -282,10 +299,14 @@ def _splits(u, phase):
     return split
 
 
-def _sample_independent(onsets, tau_r, g):
-    """Detection times and ports for photons that do not interfere."""
-    times = onsets + g.exponential(tau_r, onsets.size)
-    return times, _coin(g, onsets.size)
+def _sample_independent(onsets, tau_r, g, times, ports):
+    """Detection times and ports, written to times and ports, for photons
+    that do not interfere: bitwise onsets + g.exponential(tau_r), then a
+    coin each."""
+    g.standard_exponential(out=times)
+    times *= tau_r
+    times += onsets
+    ports[...] = _coin(g, onsets.size)
 
 
 def _coin(g, n):
@@ -366,18 +387,22 @@ _ROUTES = {MODE_REMOTE: _route_remote, MODE_CONSECUTIVE: _route_interferometer,
 
 def _mode_detections(route, scenario, g, pulse_t):
     """All detection (time, port) pairs the pulses at times pulse_t produce,
-    before detector effects: meeting pairs first, then each solo group."""
+    before detector effects, in one pair of arrays: meeting pairs first
+    (the photons of their earlier packets, then those of their later
+    packets), then each solo group."""
     tr = scenario.pair.tau_r
     mid, dtau, delta, solo = route(scenario, g, pulse_t)
-    groups = []
-    if mid.size:
-        _, ta, tb, pa, pb = _sample_meeting_pairs(tr, dtau, delta, g)
-        ta += mid
-        tb += mid
-        groups += [(ta, pa), (tb, pb)]
-    groups += [_sample_independent(ons, tr, g) for ons in solo]
-    times, ports = zip(*groups)
-    return np.concatenate(times), np.concatenate(ports)
+    m = 2 * mid.size
+    size = m + sum(ons.size for ons in solo)
+    times, ports = np.empty(size), np.empty(size, dtype=np.int8)
+    if m:
+        pairs = times[:m].reshape(2, -1)
+        _sample_meeting_pairs(tr, dtau, delta, g, pairs, ports[:m].reshape(2, -1))
+        pairs += mid
+    for ons in solo:
+        _sample_independent(ons, tr, g, times[m:m + ons.size], ports[m:m + ons.size])
+        m += ons.size
+    return times, ports
 
 
 def sample_pair_events(scenario: InterferenceScenario, n: int, rng: RngSpec) -> PairEventBatch:
@@ -397,12 +422,21 @@ def sample_pair_events(scenario: InterferenceScenario, n: int, rng: RngSpec) -> 
     g = _chunk_rng(rng, 0)
     tr = scenario.pair.tau_r
     _, dtau, delta, _ = _route_remote(scenario, g, np.zeros(n))
+    times, ports = np.empty((2, n)), np.empty((2, n), dtype=np.int8)
     if scenario.mode == MODE_CROSS_POLARIZED:
-        t_a, port_a = _sample_independent(dtau / 2.0, tr, g)
-        t_b, port_b = _sample_independent(-dtau / 2.0, tr, g)
+        for k, onsets in enumerate((dtau / 2.0, -dtau / 2.0)):
+            _sample_independent(onsets, tr, g, times[k], ports[k])
+        (t_a, t_b), (port_a, port_b) = times, ports
         opposite = port_a != port_b
     else:
-        opposite, t_a, t_b, port_a, port_b = _sample_meeting_pairs(tr, dtau, delta, g)
+        opposite, swap = _sample_meeting_pairs(tr, dtau, delta, g, times, ports)
+        # the a/b exchange, in place: photon a is the later packet's where swap is set
+        a = np.where(swap, times[1], times[0])
+        np.copyto(times[1], times[0], where=swap)
+        times[0] = a
+        t_a, t_b = times
+        port_a = ports[0] ^ (swap & opposite)  # undoes row 0's exchange: the drawn port coin
+        port_b = port_a ^ opposite
     return PairEventBatch(delta=delta, delta_tau=dtau, opposite_port=opposite,
                           tau=t_b - t_a, t_a=t_a, t_b=t_b, port_a=port_a, port_b=port_b)
 

@@ -196,6 +196,21 @@ class TestHistogramInvariants:
                                  rep_period=12.2, n_pulses=1, mode="remote-emitters",
                                  total_events=2)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("bin_width", math.inf), ("bin_width", math.nan), ("bin_width", 0.0), ("bin_width", -0.1),
+        ("rep_period", math.nan), ("rep_period", -12.2), ("rep_period", 0.0), ("rep_period", math.inf),
+        ("n_pulses", -5), ("n_pulses", 0), ("n_pulses", 2.5), ("n_pulses", True), ("n_pulses", "3")])
+    def test_geometry_validated(self, field, bad):
+        # an inf bin_width reached peak_areas and a RuntimeWarning, a rep_period
+        # of NaN, -12.2 or 0 a WindowConfigurationError that did not name it,
+        # and n_pulses = -5 a reported g2
+        fields = dict(bin_width=0.1, counts=np.array([1, 2, 3]), rep_period=12.2, n_pulses=1,
+                      mode="remote-emitters", total_events=6)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            CorrelationHistogram(**(fields | {field: bad}))
+        fields["n_pulses"] = np.int64(3)  # any integer type
+        assert CorrelationHistogram(**fields).n_pulses == 3
+
     def test_bin_geometry(self):
         h = make_hist(peaks=[(0.0, 100)])
         centers = h.bin_centers()

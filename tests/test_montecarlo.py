@@ -60,19 +60,26 @@ def chi2_upper_quantile(dof, tail):
 
 
 class CountingGenerator:
-    """A Generator that counts its exponential calls and the normal
-    variates it draws."""
+    """A Generator that counts its exponential and normal calls and the
+    variates they draw."""
 
     def __init__(self, g):
         self._g = g
-        self.exponential_calls = self.normal_calls = self.normals = 0
+        self.exponential_calls = self.exponentials = self.normal_calls = self.normals = 0
 
     def __getattr__(self, name):
         return getattr(self._g, name)
 
-    def exponential(self, *args):
+    def _exponential(self, out):
         self.exponential_calls += 1
-        return self._g.exponential(*args)
+        self.exponentials += out.size
+        return out
+
+    def exponential(self, *args, **kwargs):
+        return self._exponential(self._g.exponential(*args, **kwargs))
+
+    def standard_exponential(self, *args, **kwargs):
+        return self._exponential(self._g.standard_exponential(*args, **kwargs))
 
     def normal(self, *args):
         out = self._g.normal(*args)
@@ -107,6 +114,16 @@ def remote_scenario(n_pulses=100_000, **kw):
     pair = kw.pop("pair", PairSpec(tau_r=0.67, sigma_g=SIGMA_REMOTE))
     return InterferenceScenario(mode=MODE_REMOTE, pair=pair, rep_period=12.2,
                                 n_pulses=n_pulses, **kw)
+
+
+def lossy_block(seed):
+    """One remote block through a lossy, jittery detector with dark counts."""
+    det = DetectorModel(efficiency=0.6, timing_jitter_sigma=0.05, dark_rate=0.01)
+    scn = remote_scenario(CHUNK_PULSES, detector=det)
+    g = _chunk_rng(RngSpec(seed=seed), 0)
+    times, ports = _mode_detections(_ROUTES[scn.mode], scn, g,
+                                    np.arange(CHUNK_PULSES) * scn.rep_period)
+    return _apply_detector(times, ports, det, 0.0, CHUNK_PULSES * scn.rep_period, g)
 
 
 class TestDeterminism:
@@ -298,14 +315,14 @@ PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.15.3"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.16.0"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
-    (MODE_REMOTE, True): "3c96ad2447ee050937ed36f193c2acb9b4328aba38666f6f023ae4894736c6e3",
+    (MODE_REMOTE, True): "6f1c7d12c4d4a2b392bde636c59275f8a3242ca8ca8f427554f4dbc3f9e8096e",
     (MODE_CONSECUTIVE, False): "c62d25368cf0d26d9722a10fdf08da4b52bfdcd04b083971bf8f0e45101e5410",
-    (MODE_CONSECUTIVE, True): "96408b713f02716ace17a3483c61cdef1062f41981a949f6b5b26f2b1431bf94",
+    (MODE_CONSECUTIVE, True): "c075dc4983335c91886ada32944fe997ff3c0d1c3d80ace09101a1458975c6a2",
     (MODE_DOUBLE_PULSE, False): "0eeb195f33f11956cd4e7f2f6a9abf0bea5a552e10ae06beeabb76960985360e",
-    (MODE_DOUBLE_PULSE, True): "b944686b2e519f17beb0154c714f2f376d0d12b3ee90e6ecf67910b6c4bb4f49",
+    (MODE_DOUBLE_PULSE, True): "9d99a196b76ab5fd6702e73c6ecaa2fa57f89003d7fdf1f4ab640497d3255d86",
     (MODE_CROSS_POLARIZED, False): "59843641c47eebe14ccbc78a8c299e8eeb1eb22233b0eb5517752f0c3e74e889",
     (MODE_CROSS_POLARIZED, True): "504be786561c9c3c15f62fc1eefaaf9ace73e24011ca885dfd345c2dd5ae1360",
     ("hbt", False): "b0a942fca4e443ca179a465a3d27d9103534cff9d4da2c2ac7ba4d9bac400779",
@@ -332,9 +349,10 @@ EDGE_SHA256 = {  # pinned with PINNED_SHA256: (sampled pairs, histogram counts)
 }
 
 
-ROUTE_SHA256 = {  # pinned at 0.15.1 with route_digest, before its two routes became one
-    MODE_CONSECUTIVE: "5e56a9063ec1d92161df210be247f5addfe32a865f7123afffe0de7290966766",
-    MODE_DOUBLE_PULSE: "634885d4dce5ad22225ca1959ca9ace0c5bf6fdd7368eb8806ec7363f0e5c8e1",
+ROUTE_SHA256 = {  # pinned with route_digest at 0.15.1, before its two routes became one;
+    # the two with meeting pairs re-pinned at 0.16.0, when those came in packet order
+    MODE_CONSECUTIVE: "5b3473c27a6bf6297d13b3d8b232f0c0f62a402bf121055644eff81c766fe553",
+    MODE_DOUBLE_PULSE: "cacb36742a6e9e206f44abf5589340e5c93107ed1d840da3c9462bc516923947",
     MODE_CROSS_POLARIZED: "6ada657440b991fdc2be117a8d02e564b5cdf11e7d81f251ee4515d5b8e42ffa",
 }
 
@@ -539,9 +557,11 @@ class TestPairSampler:
         tau_r, n = 0.67, 200_000
         g = np.random.Generator(np.random.SFC64(18))
         for x in (1e-9, 0.3, 1.0, 3.0, 1e6):
-            opposite, t_a, t_b, _, _ = _sample_meeting_pairs(
-                tau_r, np.full(n, dtau), np.full(n, x / tau_r), g)
-            assert np.all(np.isfinite(t_a)) and np.all(np.isfinite(t_b))
+            times, ports = np.empty((2, n)), np.empty((2, n), dtype=np.int8)
+            opposite, _ = _sample_meeting_pairs(
+                tau_r, np.full(n, dtau), np.full(n, x / tau_r), g, times, ports)
+            assert np.all(np.isfinite(times))
+            assert np.array_equal(ports[0] != ports[1], opposite)
             p = 0.5 * (1.0 - math.exp(-abs(dtau) / tau_r) / (1.0 + x * x))
             sd = math.sqrt(max(p * (1 - p), 1.0 / n) / n)
             assert abs(opposite.mean() - p) < 4 * sd, (x, opposite.mean(), p)
@@ -573,16 +593,41 @@ class TestPairSampler:
         assert float(np.sum(z ** 2)) < chi2_upper_quantile(edges.size - 1, 1e-4)
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
-    def test_remote_qd_block_draws_two_exponential_arrays(self, seed):
+    def test_remote_qd_block_draws_two_exponentials_per_pair(self, seed):
         # every remote-qd pulse is a meeting pair, and the pair sampler has
-        # no loop that depends on the data: one exponential call for each
-        # photon of all the pairs, whatever the seed
+        # no loop that depends on the data: two exponential variates per
+        # pair, in one call whatever the seed
         scn = load_config(CONFIG_DIR / "remote-qd.json").scenario
         g = CountingGenerator(_chunk_rng(RngSpec(seed=seed), 0))
         times, _ = _mode_detections(_ROUTES[scn.mode], scn, g,
                                     np.arange(CHUNK_PULSES) * scn.rep_period)
         assert times.size == 2 * CHUNK_PULSES
-        assert g.exponential_calls == 2
+        assert g.exponentials == 2 * CHUNK_PULSES and g.exponential_calls == 1
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_block_detections_are_the_pair_events(self, jitter):
+        # at pulse times 0 a remote block draws what sample_pair_events
+        # draws from the same stream: its detections, in packet order, are
+        # the pairs' (t_a, port_a) and (t_b, port_b) as a multiset, bit for
+        # bit; with emission jitter, once the pair times are moved to the midpoints
+        n = 20_000
+        scn = remote_scenario(pair=PairSpec(tau_r=0.67, delta_tau=0.3, sigma_g=SIGMA_REMOTE),
+                              emission_jitter=jitter)
+        times, ports = _mode_detections(_ROUTES[MODE_REMOTE], scn, _chunk_rng(RngSpec(seed=24), 0),
+                                        np.zeros(n))
+        b = sample_pair_events(scn, n, RngSpec(seed=24))
+        if jitter:
+            g = _chunk_rng(RngSpec(seed=24), 0)
+            j1, j2 = g.normal(0.0, jitter, n), g.normal(0.0, jitter, n)
+            b.t_a += (j1 + j2) / 2.0
+            b.t_b += (j1 + j2) / 2.0
+
+        def multiset(t, p):
+            order = np.lexsort((p, t))
+            return t[order].tobytes() + p[order].tobytes()
+
+        assert multiset(times, ports) == multiset(np.concatenate([b.t_a, b.t_b]),
+                                                  np.concatenate([b.port_a, b.port_b]))
 
     def test_far_offset_wing_in_log_space(self):
         # dtau = 500 ns is 746 tau_r: e^{-dtau/tau_r} underflows, and the
@@ -597,18 +642,24 @@ class TestPairSampler:
     def test_correlate_matches_pair_enumeration(self):
         # lossy, jittery detector with dark counts, at a window wide enough
         # for 9 lags and one narrower than the peaks, and with a port empty
-        det = DetectorModel(efficiency=0.6, timing_jitter_sigma=0.05, dark_rate=0.01)
-        scn = remote_scenario(CHUNK_PULSES, detector=det)
-        g = _chunk_rng(RngSpec(seed=16), 0)
-        times, ports = _mode_detections(_ROUTES[scn.mode], scn, g,
-                                        np.arange(CHUNK_PULSES) * scn.rep_period)
-        times, ports = _apply_detector(times, ports, det, 0.0, CHUNK_PULSES * scn.rep_period, g)
+        times, ports = lossy_block(16)
         # 2 * 0.6 * 65,536 photon detections (sd ~180) and ~16,000 dark counts
         assert times.size > 2 * 0.6 * CHUNK_PULSES + 8_000
         for p in (ports, np.zeros_like(ports), np.ones_like(ports)):
             for halfspan, bw in ((4.5 * 12.2, 0.128), (0.3, 0.05)):
                 nbins = int(round(2 * halfspan / bw))
                 assert_correlate_matches(times, p, halfspan, bw, nbins)
+
+    def test_correlate_ignores_detection_order(self):
+        # a block's detections may come in any order: each port's times are
+        # sorted, so a permutation of the (time, port) rows gives the same counts
+        times, ports = lossy_block(17)
+        order = np.random.default_rng(17).permutation(times.size)
+        for halfspan, bw in ((4.5 * 12.2, 0.128), (0.3, 0.05)):
+            nbins = int(round(2 * halfspan / bw))
+            counts = _correlate(times, ports, halfspan, bw, nbins)
+            assert counts.sum() > 0
+            assert np.array_equal(_correlate(times[order], ports[order], halfspan, bw, nbins), counts)
 
 
 def assert_correlate_matches(times, ports, halfspan, bin_width, nbins):
