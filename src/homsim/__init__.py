@@ -1,7 +1,7 @@
 """Two-photon interference of pulsed single-photon emitters: analytic
 correlation functions, Monte Carlo coincidence simulation, and fitting."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .analysis import PeakAreaReport, WindowConfigurationError, g2_indist_double_pulse, peak_areas
 from .fitting import (

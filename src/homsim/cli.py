@@ -29,6 +29,7 @@ from .model import HBAR_UEV_NS
 from .montecarlo import (
     CHUNK_PULSES,
     RNG_ALGORITHM,
+    _is_count,
     analytic_visibility,
     analytic_visibility_at,
     simulate_histogram,
@@ -116,9 +117,9 @@ def cmd_simulate(config_path, out_dir, seed=None) -> int:
     log = _RunLog()
     cfg = load_config(config_path)
     if seed is not None:
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
-        cfg = dataclasses.replace(cfg, rng=dataclasses.replace(cfg.rng, seed=seed))
+        if not (_is_count(seed, 0) and seed < 2 ** 64):
+            raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed!r}")
+        cfg = dataclasses.replace(cfg, rng=dataclasses.replace(cfg.rng, seed=int(seed)))
     log.stage("config-loaded", mode=cfg.scenario.mode, n_pulses=cfg.scenario.n_pulses)
     hist, report = _measure_histogram(cfg)
     log.stage("simulated", pairs=hist.total_events)

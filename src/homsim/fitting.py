@@ -153,16 +153,17 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
         arithmetic is that of its own single-start fit. If a start raises,
         the error of the first start that raises is raised.
     names : sequence of str, optional
-        Parameter names for the result dicts (default p0, p1, ...).
-    bounds : sequence of (lo, hi) or None entries, optional
+        Parameter names for the result dicts, one per parameter (default p0, p1, ...).
+    bounds : sequence of (lo, hi) or None entries, one per parameter, optional
         Box constraints; trial steps leaving the box are rejected and the
         damping raised, which keeps accepted steps strictly descending.
     weights : array, optional
-        Per-point weights multiplying the residuals (1/sigma_y).
+        Per-point weights multiplying the residuals (1/sigma_y), one per point.
     on_singular : "raise" or "flag"
         Near-singular normal equations at the returned optimum either raise
         SingularModelError or set infinite standard errors on the
-        unidentifiable directions and record a message.
+        unidentifiable directions and record a message. Another value, or
+        names, bounds or weights that do not match the fit, raise ValueError.
     """
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
@@ -173,8 +174,15 @@ def nlls(model, xdata, ydata, p0, *, names=None, bounds=None, weights=None,
     m = starts.shape[1]
     if y.size < m:
         raise ValueError(f"need at least as many points ({y.size}) as parameters ({m})")
+    for arg, given in (("names", names), ("bounds", bounds)):
+        if given is not None and len(given) != m:
+            raise ValueError(f"{arg} must give one entry per parameter ({m}), got {len(given)}")
     names = [f"p{i}" for i in range(m)] if names is None else list(names)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != y.shape:
+        raise ValueError(f"weights must give one weight per point, shape {y.shape}, got shape {w.shape}")
+    if on_singular not in ("raise", "flag"):
+        raise ValueError(f"on_singular must be 'raise' or 'flag', got {on_singular!r}")
 
     def residual(params):
         return (model(x, params) - y) * w

@@ -46,6 +46,13 @@ __all__ = [
 HBAR_UEV_NS = 0.6582119569
 
 
+def _check_positive(name, value):
+    """Raise ValueError naming value unless it is finite and > 0; written so
+    that NaN fails."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class PairSpec:
     """Parameters of one interfering photon pair (or pair ensemble).
@@ -62,8 +69,7 @@ class PairSpec:
     sigma_g: float = 0.0
 
     def __post_init__(self):
-        if not (self.tau_r > 0 and math.isfinite(self.tau_r)):
-            raise ValueError(f"tau_r must be finite and > 0, got {self.tau_r}")
+        _check_positive("tau_r", self.tau_r)
         if not (math.isfinite(self.delta_tau) and math.isfinite(self.delta0)):
             raise ValueError(f"delta_tau and delta0 must be finite, got {self.delta_tau}, {self.delta0}")
         if not (self.sigma_g >= 0 and math.isfinite(self.sigma_g)):
@@ -71,10 +77,8 @@ class PairSpec:
 
 
 def _check_hom_domain(tau_r, tau_c):
-    if not tau_r > 0:
-        raise ValueError(f"tau_r must be > 0, got {tau_r}")
-    if not 0 < tau_c:
-        raise ValueError(f"tau_c must be > 0, got {tau_c}")
+    _check_positive("tau_r", tau_r)
+    _check_positive("tau_c", tau_c)
     if tau_c > 2 * tau_r * (1 + 1e-12):
         raise ValueError(
             f"tau_c = {tau_c} exceeds the Fourier limit 2*tau_r = {2 * tau_r} (unphysical coherence)")
@@ -158,8 +162,7 @@ def visibility_inhom_direct(tau_r: float, sigma_g, delta0=0.0):
     single sigma_g that is not finite and >= 0, or delta0 that is not
     finite, raises ValueError.
     """
-    if not (tau_r > 0 and math.isfinite(tau_r)):
-        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
+    _check_positive("tau_r", tau_r)
     sigma_g, delta0 = np.broadcast_arrays(np.asarray(sigma_g, dtype=float),
                                           np.asarray(delta0, dtype=float))
     bad = ~((sigma_g >= 0) & np.isfinite(sigma_g))
@@ -198,7 +201,9 @@ def sigma_from_coherence(tau_r: float, tau_c_target: float) -> float:
 
     Because V(sigma) = coherence_integral(tau_r, sigma) / (2 tau_r), the
     remote-pair visibility at the returned sigma is exactly
-    tau_c_target / (2 tau_r), i.e. visibility_hom(tau_r, tau_c_target)."""
+    tau_c_target / (2 tau_r), i.e. visibility_hom(tau_r, tau_c_target).
+    A tau_r that is not finite and > 0 raises ValueError naming it."""
+    _check_positive("tau_r", tau_r)
     if not 0 < tau_c_target < 2 * tau_r:
         raise ValueError(
             f"tau_c_target must lie in (0, 2*tau_r): got {tau_c_target} with tau_r={tau_r} "
@@ -211,9 +216,7 @@ def sigma_for_visibility(tau_r: float, visibility: float) -> float:
     visibility equals the given value in (0, 1): the inverse of
     visibility_inhom_direct at delta0 = 0, by bisection to ~1e-14
     relative. A tau_r that is not finite and > 0 raises ValueError."""
-    # every check is written so that NaN fails it
-    if not (tau_r > 0 and math.isfinite(tau_r)):
-        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
+    _check_positive("tau_r", tau_r)
     if not 0.0 < visibility < 1.0:
         raise ValueError(f"visibility must lie in (0, 1), got {visibility}")
     # V depends on u = tau_r * sigma_g alone; it rounds to 1 at u = 2^-40
@@ -303,8 +306,7 @@ def time_jitter_overlap_factor(tau_r: float, delta_tau, jitter_sigma: float):
     tau_r that is not finite and > 0 and a jitter_sigma that is not finite
     and >= 0.
     """
-    if not (tau_r > 0 and math.isfinite(tau_r)):
-        raise ValueError(f"tau_r must be finite and > 0, got {tau_r}")
+    _check_positive("tau_r", tau_r)
     if not (jitter_sigma >= 0 and math.isfinite(jitter_sigma)):
         raise ValueError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma}")
     mu = np.abs(np.asarray(delta_tau, dtype=float))  # the factor is even in the offset

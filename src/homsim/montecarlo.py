@@ -19,7 +19,8 @@ the photons of the pairs' earlier packets, then those of their later
 packets. Which of a pair's photons is photon a is drawn, but only
 sample_pair_events applies that exchange; _correlate sorts each port's
 times and never reads it. _apply_detector and _correlate follow;
-_run_blocks sums the blocks into one CorrelationHistogram. It runs them on
+_run_blocks sums the blocks into one CorrelationHistogram (bin width,
+counts, repetition period; total_events is the counts' sum). It runs them on
 min(n_jobs, blocks, usable cores) threads, every usable core by default,
 and the calling thread is one of them, so a run starts one pool thread
 fewer than it uses. The stages select elements by index (take) or with
@@ -38,6 +39,8 @@ hashed into the generator state, so distinct (seed, stream_id, block)
 keys give independent streams. Identical (seed, stream_id) therefore give
 bitwise-identical histograms, independent of how blocks are distributed
 over workers; integer counts are summed, which is order-independent.
+Each block counts in its own time frame (pulse i at i * rep_period), so
+its counts depend on its stream alone, never on its place in a run.
 A block draws only the randomness its counts read: coin flips are single
 random bits, and a frequency difference is drawn for the pairs that meet
 on the beam splitter, not for every pulse. Coincidence pairs are tallied
@@ -58,7 +61,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import PairSpec, time_jitter_overlap_factor, visibility_inhom_direct
+from .model import PairSpec, _check_positive, time_jitter_overlap_factor, visibility_inhom_direct
 
 __all__ = [
     "MODE_CONSECUTIVE",
@@ -143,8 +146,7 @@ class InterferenceScenario:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (self.rep_period > 0 and math.isfinite(self.rep_period)):
-            raise ValueError(f"rep_period must be finite and > 0, got {self.rep_period}")
+        _check_positive("rep_period", self.rep_period)
         if not 0 < self.intra_delay < self.rep_period:
             raise ValueError(
                 f"intra_delay must lie in (0, rep_period), got {self.intra_delay}")
@@ -162,23 +164,20 @@ class CorrelationHistogram:
     bin_width: float
     counts: np.ndarray
     rep_period: float
-    n_pulses: int
-    mode: str
-    total_events: int
 
     def __post_init__(self):
-        # every check is written so that NaN fails it
-        for name in ("bin_width", "rep_period"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not _is_count(self.n_pulses):
-            raise ValueError(f"n_pulses must be an integer >= 1, got {self.n_pulses!r}")
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
-        if int(self.counts.sum()) != self.total_events:
-            raise ValueError("window accounting broken: counts do not sum to total_events")
+        _check_positive("bin_width", self.bin_width)
+        _check_positive("rep_period", self.rep_period)
+        counts = np.asarray(self.counts)
+        if not (counts.ndim == 1 and counts.dtype.kind in "iu"
+                and counts.min(initial=0) >= 0 and counts.max(initial=0) < 2 ** 63):
+            raise ValueError(f"counts must be a 1-D array of integers >= 0 (int64), got {counts!r}")
+        self.counts = counts.astype(np.int64, copy=False)
+
+    @property
+    def total_events(self) -> int:
+        """Coincidences in the window: the sum of the counts."""
+        return int(self.counts.sum())
 
     def window_halfspan(self) -> float:
         return 0.5 * self.counts.size * self.bin_width
@@ -186,10 +185,6 @@ class CorrelationHistogram:
     def bin_edges(self) -> np.ndarray:
         h = self.window_halfspan()
         return np.linspace(-h, h, self.counts.size + 1)
-
-    def bin_centers(self) -> np.ndarray:
-        e = self.bin_edges()
-        return 0.5 * (e[:-1] + e[1:])
 
 
 @dataclass
@@ -441,19 +436,18 @@ def sample_pair_events(scenario: InterferenceScenario, n: int, rng: RngSpec) -> 
                           tau=t_b - t_a, t_a=t_a, t_b=t_b, port_a=port_a, port_b=port_b)
 
 
-def _apply_detector(times, ports, det: DetectorModel, span_lo, span_hi, g):
-    """Efficiency thinning, timing jitter and dark counts, in that order."""
+def _apply_detector(times, ports, det: DetectorModel, span, g):
+    """Efficiency thinning, timing jitter and dark counts on [0, span), in that order."""
     if det.efficiency < 1.0:
         keep = g.random(times.size) < det.efficiency
         times, ports = times.compress(keep), ports.compress(keep)
     if det.timing_jitter_sigma > 0 and times.size:
         times = times + g.normal(0.0, det.timing_jitter_sigma, times.size)
     if det.dark_rate > 0:
-        span = span_hi - span_lo
         for port in (0, 1):
             n_dark = g.poisson(det.dark_rate * span)
             if n_dark:
-                times = np.concatenate([times, span_lo + span * g.random(n_dark)])
+                times = np.concatenate([times, span * g.random(n_dark)])
                 ports = np.concatenate([ports, np.full(n_dark, port, dtype=np.int8)])
     return times, ports
 
@@ -510,15 +504,13 @@ def _correlate(times, ports, halfspan, bin_width, nbins):
 
 
 def _simulate_block(route, scenario, rng, chunk_index, halfspan, bin_width, nbins):
-    """Coincidence counts of one pulse block: emission and routing, pair and
-    solo sampling, detector model, correlation."""
-    pulse_lo = chunk_index * CHUNK_PULSES
-    n_p = min(CHUNK_PULSES, scenario.n_pulses - pulse_lo)
-    T = scenario.rep_period
+    """Coincidence counts of one pulse block, in its own time frame (pulse i
+    at i * rep_period): emission and routing, pair and solo sampling,
+    detector model, correlation."""
+    n_p = min(CHUNK_PULSES, scenario.n_pulses - chunk_index * CHUNK_PULSES)
     g = _chunk_rng(rng, chunk_index)
-    times, ports = _mode_detections(route, scenario, g, pulse_lo * T + np.arange(n_p) * T)
-    times, ports = _apply_detector(times, ports, scenario.detector, pulse_lo * T,
-                                   (pulse_lo + n_p) * T, g)
+    times, ports = _mode_detections(route, scenario, g, np.arange(n_p) * scenario.rep_period)
+    times, ports = _apply_detector(times, ports, scenario.detector, n_p * scenario.rep_period, g)
     return _correlate(times, ports, halfspan, bin_width, nbins)
 
 
@@ -566,7 +558,7 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
-def _run_blocks(route, scenario, rng, label, bin_width, window_periods, n_jobs):
+def _run_blocks(route, scenario, rng, bin_width, window_periods, n_jobs):
     """Sum the block counts of the whole pulse train into a histogram.
 
     The calling thread and workers - 1 pool threads pull block indices from
@@ -601,9 +593,7 @@ def _run_blocks(route, scenario, rng, label, bin_width, window_periods, n_jobs):
         counts = drain()
         for f in futures:
             counts += f.result()
-    return CorrelationHistogram(bin_width=bin_width, counts=counts, rep_period=scenario.rep_period,
-                                n_pulses=scenario.n_pulses, mode=label,
-                                total_events=int(counts.sum()))
+    return CorrelationHistogram(bin_width=bin_width, counts=counts, rep_period=scenario.rep_period)
 
 
 def simulate_histogram(scenario: InterferenceScenario, rng: RngSpec, *,
@@ -616,8 +606,7 @@ def simulate_histogram(scenario: InterferenceScenario, rng: RngSpec, *,
     calling thread included, and never on more threads than blocks or
     usable cores; n_jobs cannot change the counts.
     """
-    return _run_blocks(_ROUTES[scenario.mode], scenario, rng, scenario.mode,
-                       bin_width, window_periods, n_jobs)
+    return _run_blocks(_ROUTES[scenario.mode], scenario, rng, bin_width, window_periods, n_jobs)
 
 
 def simulate_hbt_purity(multi_photon_prob: float, scenario: InterferenceScenario,
@@ -632,7 +621,7 @@ def simulate_hbt_purity(multi_photon_prob: float, scenario: InterferenceScenario
     """
     if not 0 <= multi_photon_prob <= 1:
         raise ValueError(f"multi_photon_prob must lie in [0, 1], got {multi_photon_prob}")
-    return _run_blocks(partial(_route_hbt, multi_photon_prob), scenario, rng, "hbt",
+    return _run_blocks(partial(_route_hbt, multi_photon_prob), scenario, rng,
                        bin_width, window_periods, n_jobs)
 
 

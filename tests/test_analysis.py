@@ -19,9 +19,7 @@ def make_hist(rep_period=12.2, bin_width=0.1, window_periods=4, peaks=None, peak
         prof = np.exp(-np.abs(centers - c0) / peak_decay)
         prof = prof / prof.sum() * area
         counts += np.round(prof).astype(np.int64)
-    return CorrelationHistogram(bin_width=bin_width, counts=counts, rep_period=rep_period,
-                                n_pulses=1, mode="remote-emitters",
-                                total_events=int(counts.sum()))
+    return CorrelationHistogram(bin_width=bin_width, counts=counts, rep_period=rep_period)
 
 
 class TestPeakAreas:
@@ -35,8 +33,7 @@ class TestPeakAreas:
         peaks = [(0.0, 30000)] + [(k * 12.2, 90000) for k in (-3, -2, -1, 1, 2, 3)]
         h1 = make_hist(peaks=peaks)
         h2 = CorrelationHistogram(bin_width=h1.bin_width, counts=h1.counts * 7,
-                                  rep_period=h1.rep_period, n_pulses=1,
-                                  mode=h1.mode, total_events=int(h1.counts.sum() * 7))
+                                  rep_period=h1.rep_period)
         r1 = peak_areas(h1, 3.0, 6)
         r2 = peak_areas(h2, 3.0, 6)
         assert r1.g2_indist == pytest.approx(r2.g2_indist, rel=1e-12)
@@ -63,7 +60,6 @@ class TestPeakAreas:
         peaks = [(0.0, 30000)] + [(k * 12.2, 100000) for k in (-2, -1, 1, 2)]
         h = make_hist(peaks=peaks)
         h.counts = h.counts + 40  # uniform dark-count floor
-        h.total_events = int(h.counts.sum())
         biased = peak_areas(h, 3.0, 4)
         corrected = peak_areas(h, 3.0, 4, baseline_per_bin=40.0)
         assert corrected.g2_indist == pytest.approx(0.3, abs=0.01)
@@ -74,9 +70,7 @@ class TestPeakAreas:
         # position on the 0.128 ns grid (the edge bins count in part)
         bw, W, level = 0.128, 0.6, 1000
         nbins = 2 * int(round(3 * 12.5 / bw)) + 1
-        h = CorrelationHistogram(bin_width=bw, counts=np.full(nbins, level), rep_period=12.5,
-                                 n_pulses=1, mode="double-pulse-same-emitter",
-                                 total_events=level * nbins)
+        h = CorrelationHistogram(bin_width=bw, counts=np.full(nbins, level), rep_period=12.5)
         sides = peak_areas(h, W, 2)
         sats = g2_indist_double_pulse(h, 2.0, W)
         for area in [sides.central_area, *sides.side_areas, *sats.side_areas]:
@@ -169,8 +163,8 @@ class TestDoublePulseG2:
         # central window: a central area of 0.5 has the variance of 1 count
         peaks = [(2.0, 5000), (-2.0, 5000), (12.5, 8000), (-12.5, 8000)]
         h = make_hist(rep_period=12.5, bin_width=0.1, peaks=peaks, peak_decay=0.15)
-        h.counts[np.argmin(np.abs(h.bin_centers() - 0.6))] += 1
-        h.total_events += 1
+        e = h.bin_edges()
+        h.counts[np.argmin(np.abs(0.5 * (e[:-1] + e[1:]) - 0.6))] += 1
         rep = g2_indist_double_pulse(h, intra_delay=2.0, window_halfwidth=0.6)
         ref = rep.side_average
         assert rep.central_area == pytest.approx(0.5, rel=1e-12)
@@ -184,38 +178,44 @@ class TestDoublePulseG2:
 
 
 class TestHistogramInvariants:
-    def test_accounting_enforced(self):
-        with pytest.raises(ValueError):
-            CorrelationHistogram(bin_width=0.1, counts=np.array([1, 2, 3]),
-                                 rep_period=12.2, n_pulses=1, mode="remote-emitters",
-                                 total_events=7)
-
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            CorrelationHistogram(bin_width=0.1, counts=np.array([1, -2, 3]),
-                                 rep_period=12.2, n_pulses=1, mode="remote-emitters",
-                                 total_events=2)
+            CorrelationHistogram(bin_width=0.1, counts=np.array([1, -2, 3]), rep_period=12.2)
+
+    @pytest.mark.parametrize("counts", [
+        [0.5, 1.5], [1.0, 2.0], [math.nan], np.ones((2, 2), dtype=np.int64), 3, [True, False],
+        [2 ** 70], np.array([2 ** 64 - 1], dtype=np.uint64), []],
+        ids=["fractions", "whole-floats", "nan", "2-d", "scalar", "bools", "past-int64",
+             "uint64-past-int64", "empty-float"])
+    def test_counts_must_be_a_1d_array_of_integers_at_least_0(self, counts):
+        # [0.5, 1.5] was truncated to [0, 1], a (2, 2) array gave 5 bin edges
+        # for 4 cells, and [nan] failed inside numpy's integer conversion
+        with pytest.raises(ValueError, match="^counts must be a 1-D array of integers >= 0"):
+            CorrelationHistogram(bin_width=0.1, counts=counts, rep_period=12.2)
+
+    def test_total_events_is_the_sum_of_the_counts(self):
+        for counts in ([1, 2, 3], np.array([4, 0], dtype=np.uint8), np.array([2, 5], dtype=np.int32)):
+            h = CorrelationHistogram(bin_width=0.1, counts=counts, rep_period=12.2)
+            assert h.counts.dtype == np.int64
+            assert h.total_events == int(np.sum(counts))
+        h.counts[0] += 3
+        assert h.total_events == 10
 
     @pytest.mark.parametrize("field, bad", [
         ("bin_width", math.inf), ("bin_width", math.nan), ("bin_width", 0.0), ("bin_width", -0.1),
-        ("rep_period", math.nan), ("rep_period", -12.2), ("rep_period", 0.0), ("rep_period", math.inf),
-        ("n_pulses", -5), ("n_pulses", 0), ("n_pulses", 2.5), ("n_pulses", True), ("n_pulses", "3")])
+        ("rep_period", math.nan), ("rep_period", -12.2), ("rep_period", 0.0), ("rep_period", math.inf)])
     def test_geometry_validated(self, field, bad):
         # an inf bin_width reached peak_areas and a RuntimeWarning, a rep_period
-        # of NaN, -12.2 or 0 a WindowConfigurationError that did not name it,
-        # and n_pulses = -5 a reported g2
-        fields = dict(bin_width=0.1, counts=np.array([1, 2, 3]), rep_period=12.2, n_pulses=1,
-                      mode="remote-emitters", total_events=6)
+        # of NaN, -12.2 or 0 a WindowConfigurationError that did not name it
+        fields = dict(bin_width=0.1, counts=np.array([1, 2, 3]), rep_period=12.2)
         with pytest.raises(ValueError, match=f"^{field} must be "):
             CorrelationHistogram(**(fields | {field: bad}))
-        fields["n_pulses"] = np.int64(3)  # any integer type
-        assert CorrelationHistogram(**fields).n_pulses == 3
 
     def test_bin_geometry(self):
         h = make_hist(peaks=[(0.0, 100)])
-        centers = h.bin_centers()
+        edges = h.bin_edges()
+        centers = 0.5 * (edges[:-1] + edges[1:])
         assert centers.size % 2 == 1
         assert centers[centers.size // 2] == pytest.approx(0.0, abs=1e-12)
-        edges = h.bin_edges()
         assert edges[0] == -h.window_halfspan()
         assert edges[-1] == +h.window_halfspan()

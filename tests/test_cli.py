@@ -91,6 +91,20 @@ class TestSimulate:
         s = json.loads((out2 / "summary.json").read_text())
         assert s["provenance"]["seed"] == 778
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, "5", -1, 2 ** 64])
+    def test_seed_that_is_not_a_64_bit_integer_exit_2(self, tmp_path, capsys, seed):
+        # 2.5 and True raised a ValueError from RngSpec (exit 1, a traceback)
+        out = tmp_path / "out"
+        assert cmd_simulate(small_config(tmp_path), out, seed=seed) == 2
+        assert capsys.readouterr().err == f"error: --seed must be a 64-bit unsigned integer, got {seed!r}\n"
+        assert not out.exists()
+
+    def test_seed_of_any_integer_type(self, tmp_path):
+        # the seed is written to summary.json as a JSON integer
+        out = tmp_path / "out"
+        assert cmd_simulate(small_config(tmp_path, n_pulses=2000), out, seed=np.uint64(2 ** 64 - 1)) == 0
+        assert json.loads((out / "summary.json").read_text())["provenance"]["seed"] == 2 ** 64 - 1
+
     def test_effective_config_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
         out1 = tmp_path / "a"

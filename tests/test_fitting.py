@@ -122,6 +122,34 @@ class TestNlls:
             nlls(lambda x, p: p[0] + p[1] * x + p[2] * x * x, np.arange(2.0),
                  np.arange(2.0), [1.0, 1.0, 1.0])
 
+    def line_fit(self, **kwargs):
+        x = np.arange(10.0)
+        return nlls(lin, x, 3.0 * x - 1.5, [0.0, 0.0], **kwargs)
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], []])
+    def test_names_must_match_the_parameters(self, names):
+        # ["a"] returned only a
+        with pytest.raises(ValueError, match=rf"^names must give one entry per parameter \(2\), got {len(names)}$"):
+            self.line_fit(names=names)
+
+    @pytest.mark.parametrize("bounds", [[(0.0, 5.0), None, (0.0, 1.0)], [(0.0, 5.0)], []])
+    def test_bounds_must_match_the_parameters(self, bounds):
+        # a third entry was accepted and ignored
+        with pytest.raises(ValueError, match=rf"^bounds must give one entry per parameter \(2\), got {len(bounds)}$"):
+            self.line_fit(bounds=bounds)
+
+    @pytest.mark.parametrize("on_singular", ["bogus", "Raise", None])
+    def test_on_singular_must_be_raise_or_flag(self, on_singular):
+        # "bogus" behaved like "flag"
+        with pytest.raises(ValueError, match=f"^on_singular must be 'raise' or 'flag', got {on_singular!r}$"):
+            self.line_fit(on_singular=on_singular)
+
+    @pytest.mark.parametrize("weights", [np.ones(3), np.ones(11), np.ones((10, 1)), 2.0])
+    def test_weights_must_give_one_weight_per_point(self, weights):
+        # a length of 3 failed with numpy's "operands could not be broadcast together"
+        with pytest.raises(ValueError, match=r"^weights must give one weight per point, shape \(10,\), got shape "):
+            self.line_fit(weights=weights)
+
 
 def column_jacobian(residual, p):
     """The 0.11.0 Jacobian, kept as the reference: one central difference

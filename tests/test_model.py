@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -97,6 +98,17 @@ class TestCentralPeakArea:
 class TestVisibilityHom:
     def test_fourier_limit(self):
         assert visibility_hom(1.0, 2.0) == 1.0
+
+    @pytest.mark.parametrize("tau_r, tau_c, name", [
+        (math.inf, math.inf, "tau_r"), (math.inf, 1.0, "tau_r"), (math.nan, 1.0, "tau_r"),
+        (-1.0, 1.0, "tau_r"), (0.0, 1.0, "tau_r"), (1.0, math.nan, "tau_c"), (1.0, math.inf, "tau_c"),
+        (1.0, 0.0, "tau_c"), (1.0, -0.5, "tau_c")])
+    def test_closed_forms_reject_times_that_are_not_finite_and_positive(self, tau_r, tau_c, name):
+        # tau_r = inf gave visibility_hom(inf, inf) NaN,
+        # central_peak_area_hom(inf, 1.0) 0.5 and g2_hom_peak(1.0, inf, 1.0) 0.432
+        for f in (visibility_hom, central_peak_area_hom, partial(g2_hom_peak, 1.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
+                f(tau_r, tau_c)
 
     def test_measured_value_rounds_to_published(self):
         v = visibility_hom(0.67, 0.33)
@@ -416,6 +428,13 @@ class TestSigmaFromCoherence:
             sigma_from_coherence(0.67, 1.34)
         with pytest.raises(ValueError):
             sigma_from_coherence(0.67, 0.0)
+
+    @pytest.mark.parametrize("tau_r, target", [(math.nan, 0.3), (-1.0, -0.3), (math.inf, 0.3),
+                                               (0.0, 0.3)])
+    def test_a_bad_tau_r_is_named(self, tau_r, target):
+        # (nan, 0.3) and (-1, -0.3) reported a bad tau_c_target
+        with pytest.raises(ValueError, match=f"^tau_r must be finite and > 0, got {tau_r}$"):
+            sigma_from_coherence(tau_r, target)
 
     def test_coherence_integral_against_quadrature(self):
         for sg in (0.5, 2.0, 4.4965486):

@@ -123,7 +123,12 @@ def lossy_block(seed):
     g = _chunk_rng(RngSpec(seed=seed), 0)
     times, ports = _mode_detections(_ROUTES[scn.mode], scn, g,
                                     np.arange(CHUNK_PULSES) * scn.rep_period)
-    return _apply_detector(times, ports, det, 0.0, CHUNK_PULSES * scn.rep_period, g)
+    return _apply_detector(times, ports, det, CHUNK_PULSES * scn.rep_period, g)
+
+
+def bin_centers(h):
+    e = h.bin_edges()
+    return 0.5 * (e[:-1] + e[1:])
 
 
 class TestDeterminism:
@@ -311,11 +316,34 @@ class TestDeterminism:
         assert RngSpec(np.uint64(2 ** 64 - 1), np.int32(3)) == RngSpec(2 ** 64 - 1, 3)
 
 
+class TestBlockFrame:
+    @pytest.mark.parametrize("c", [1, 2 ** 20, 2 ** 32 - 1])
+    @pytest.mark.parametrize("case", [MODE_REMOTE, MODE_CONSECUTIVE, MODE_DOUBLE_PULSE, "hbt"])
+    def test_block_counts_depend_on_its_stream_alone(self, monkeypatch, case, c):
+        """Block c's counts equal block 0's when block 0 draws block c's
+        stream, through a lossy, jittery detector with dark counts: each
+        block counts in its own time frame. With pulses at their absolute
+        times, the float64 rounding of c * 65,536 * T moved counts from
+        c = 2^20 on (106 at 2^20 and 189,348 at 2^32 - 1 in remote mode)."""
+        det = DetectorModel(efficiency=0.6, timing_jitter_sigma=0.05, dark_rate=1e-4)
+        scn = remote_scenario(CHUNK_PULSES * 2 ** 32, detector=det)
+        if case != "hbt":
+            scn = replace(scn, mode=case)
+        route = partial(_route_hbt, 0.05) if case == "hbt" else _ROUTES[case]
+        halfspan, nbins = montecarlo._block_shape(scn.rep_period, 0.128, 3, det.dark_rate)
+        monkeypatch.setattr(montecarlo, "_chunk_rng", lambda rng, _: _chunk_rng(rng, c))
+        block = partial(_simulate_block, route, scn, RngSpec(seed=11), halfspan=halfspan,
+                        bin_width=0.128, nbins=nbins)
+        at_c, at_0 = block(c), block(0)
+        assert at_c.sum() > 0
+        assert np.array_equal(at_c, at_0), f"{np.abs(at_c - at_0).sum()} counts moved"
+
+
 PINNED_CONFIGS = {MODE_REMOTE: "remote-qd.json", MODE_CONSECUTIVE: "p-shell.json",
                   MODE_DOUBLE_PULSE: "double-pulse-rf.json",
                   MODE_CROSS_POLARIZED: "cross-polarized.json", "hbt": "p-shell.json"}
 LOSSY_DETECTOR = DetectorModel(efficiency=0.3, timing_jitter_sigma=0.05, dark_rate=1e-4)
-PINNED_VERSION = "0.16.0"  # the package version that pinned or last confirmed PINNED_SHA256
+PINNED_VERSION = "0.17.0"  # the package version that pinned or last confirmed PINNED_SHA256
 PINNED_SHA256 = {  # sha256 of the int64 counts' bytes
     (MODE_REMOTE, False): "b11b4158f4410d4fd7ad102f1adfc907f36fa41e57013dab10821698c47284b0",
     (MODE_REMOTE, True): "6f1c7d12c4d4a2b392bde636c59275f8a3242ca8ca8f427554f4dbc3f9e8096e",
@@ -785,7 +813,7 @@ class TestSimulateHistogram:
         h_blur = simulate_histogram(scn_blur, RngSpec(seed=26), window_periods=4)
 
         def peak_second_moment(h):
-            c = h.bin_centers()
+            c = bin_centers(h)
             sel = np.abs(c - 12.2) < 3.0
             w = h.counts[sel].astype(float)
             x = c[sel] - 12.2
@@ -800,7 +828,7 @@ class TestSimulateHistogram:
         h = simulate_histogram(scn, RngSpec(seed=27), window_periods=4)
         scn0 = remote_scenario(60_000)
         h0 = simulate_histogram(scn0, RngSpec(seed=27), window_periods=4)
-        c = h.bin_centers()
+        c = bin_centers(h)
         between = np.abs(c - 6.1) < 2.0  # region between coincidence peaks
         dark_floor = h.counts[between].sum()
         tail_floor = h0.counts[between].sum()  # peak tails only
